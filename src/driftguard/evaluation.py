@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,15 +173,7 @@ def grid_evaluate(
             pcfg = pipeline.PipelineConfig(
                 variables=combo.variables,
                 transform=combo.transform,
-                scoring=ScoringConfig(
-                    method=combo.method,
-                    k=scoring_base.k,
-                    leader_radius=scoring_base.leader_radius,
-                    rkof_bandwidth_scale=scoring_base.rkof_bandwidth_scale,
-                    rkof_bandwidth_exponent=scoring_base.rkof_bandwidth_exponent,
-                    rkof_weight_sigma=scoring_base.rkof_weight_sigma,
-                    inflo_empty_is_typical=scoring_base.inflo_empty_is_typical,
-                ),
+                scoring=replace(scoring_base, method=combo.method),
                 threshold=threshold_cfg,
                 rules=rule_cfg,
             )

@@ -3,7 +3,10 @@
 kNN is kd-tree accelerated but contractually exact: candidate selection comes
 from the tree, final distances are recomputed from coordinates, and boundary
 ties fall back to a full scan, so the result is identical to brute force with
-ties broken by lower index.
+ties broken by lower index. It runs on the distinct points: exact duplicate
+rows (the origin cluster of the one-sided transform) collapse into one tree
+point, and the full scan fires only when distinct points tie across the edge
+of the tree window.
 """
 
 from __future__ import annotations
@@ -16,9 +19,14 @@ from scipy.spatial import cKDTree
 
 from .errors import DataError
 
-# Extra candidates fetched per tree query; boundary ties beyond this window
-# trigger an exact full-row scan.
+# Extra distinct points fetched per tree query. A distinct point whose
+# (k + 1)-th best row distance is not strictly below the farthest candidate in
+# its window may have tied distinct points outside it; it gets an exact
+# full-row scan.
 _QUERY_PAD = 16
+# Distinct points queried and ranked together; bounds the candidate expansion
+# (at most block x window x (k + 1) entries) and so peak memory.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -88,23 +96,6 @@ def normalize(points: np.ndarray) -> PointCloud:
     return PointCloud(points=scaled, mins=mins, maxs=maxs)
 
 
-def _rank_rows(ids: np.ndarray, dists: np.ndarray, self_ids: np.ndarray, k: int):
-    """Per row: sort candidates by (distance, index), drop self, take k.
-
-    One flat lexsort ranks every row at once; the stable argsort then pulls
-    the first k non-self entries of each row in that order.
-    """
-    n_rows, width = ids.shape
-    rows = np.repeat(np.arange(n_rows), width)
-    order = np.lexsort((ids.ravel(), dists.ravel(), rows))
-    sorted_ids = ids.ravel()[order].reshape(n_rows, width)
-    sorted_d = dists.ravel()[order].reshape(n_rows, width)
-    nonself = sorted_ids != self_ids[:, None]
-    pick = np.argsort(~nonself, axis=1, kind="stable")[:, :k]
-    r = np.arange(n_rows)[:, None]
-    return sorted_ids[r, pick], sorted_d[r, pick], sorted_d[:, -1]
-
-
 def knn(cloud: PointCloud, k: int) -> NeighborLists:
     """Exact k nearest neighbors of every point, self excluded.
 
@@ -117,31 +108,64 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     if k >= n:
         raise DataError(f"k={k} must be smaller than the cloud size n={n}")
 
-    tree = cKDTree(pts)
-    m = min(n, k + 1 + _QUERY_PAD)
-    _, cand = tree.query(pts, k=m)
-    # Tree output selects candidates only; distances are recomputed from the
-    # coordinates so values and tie order match a direct scan bit for bit.
-    d_cand = np.sqrt(((pts[cand] - pts[:, None, :]) ** 2).sum(axis=-1))
-    indices, distances, window_max = _rank_rows(cand, d_cand, np.arange(n), k)
+    # Rows with equal coordinates share their k + 1 best rows; each row's list
+    # is its group's with the row itself dropped. A group can place at most
+    # its k + 1 lowest-index members in any such list.
+    uniq, inverse, counts = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    n_uniq = len(uniq)
+    members = np.argsort(inverse, kind="stable")  # group by group, ascending index
+    first = np.cumsum(counts) - counts  # each group's offset in members
+    take = k + 1
+    width = np.minimum(counts, take)
+    top_ids = np.empty((n_uniq, take), dtype=np.int64)
+    top_d = np.empty((n_uniq, take), dtype=np.float64)
 
-    if m < n:
-        # A window provably holds every point at distance <= the k-th selected
-        # distance only when its largest candidate lies strictly beyond it;
-        # otherwise the tie group may extend past the window (also covers a
-        # self crowded out by >= m coincident duplicates). Those rows get an
-        # exact full scan: k smallest by value, then the boundary tie group
-        # re-ranked by index.
-        needy = np.nonzero(window_max <= distances[:, -1])[0]
-        for p in needy:
-            d = np.sqrt(((pts - pts[p]) ** 2).sum(axis=-1))
-            d[p] = np.inf
-            kth = d[np.argpartition(d, k - 1)[:k]].max()
-            in_play = np.nonzero(d <= kth)[0]
-            top = np.lexsort((in_play, d[in_play]))[:k]
-            indices[p] = in_play[top]
-            distances[p] = d[in_play][top]
-    return NeighborLists(indices=indices, distances=distances, k=k)
+    tree = cKDTree(uniq)
+    m = min(n_uniq, take + _QUERY_PAD)
+    for lo in range(0, n_uniq, _BLOCK):
+        query = uniq[lo : lo + _BLOCK]
+        b = len(query)
+        _, cand = tree.query(query, k=m)
+        cand = cand.reshape(b, m)
+        # Tree output selects candidates only; distances are recomputed from the
+        # coordinates so values and tie order match a direct scan bit for bit.
+        d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
+        # Expand each candidate into its members; a query's entries form one
+        # run of >= k + 1 (m >= k + 1 distinct points, or all n rows).
+        w = width[cand]
+        sizes = w.sum(axis=1)
+        w = w.ravel()
+        offset = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
+        ids = members[np.repeat(first[cand.ravel()], w) + offset]
+        dists = np.repeat(d_cand.ravel(), w)
+        # One flat lexsort ranks every run at once, keeping each in place.
+        order = np.lexsort((ids, dists, np.repeat(np.arange(b), sizes)))
+        pick = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(take)]
+        top_ids[lo : lo + b], top_d[lo : lo + b] = ids[pick], dists[pick]
+
+        if m < n_uniq:
+            # A window provably holds every point at distance <= the (k+1)-th
+            # selected distance only when its farthest candidate lies strictly
+            # beyond it; otherwise distinct points tied at that distance may
+            # lie outside the window. Those get an exact full scan: k + 1
+            # smallest by value, then the boundary tie group re-ranked by index.
+            needy = np.nonzero(d_cand.max(axis=1) <= top_d[lo : lo + b, -1])[0] + lo
+            for u in needy:
+                d = np.sqrt(((uniq - uniq[u]) ** 2).sum(axis=-1))[inverse]
+                kth = np.partition(d, k)[k]
+                in_play = np.nonzero(d <= kth)[0]
+                top = np.lexsort((in_play, d[in_play]))[:take]
+                top_ids[u] = in_play[top]
+                top_d[u] = d[in_play][top]
+
+    # Drop each row from its group's list, or the list's last entry when the
+    # row is not in it.
+    is_self = top_ids[inverse] == np.arange(n)[:, None]
+    self_pos = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
+    pick = np.arange(k) + (np.arange(k) >= self_pos[:, None])
+    group = inverse[:, None]
+    return NeighborLists(indices=top_ids[group, pick], distances=top_d[group, pick], k=k)
 
 
 def leader(cloud: PointCloud, radius: float) -> LeaderClustering:

@@ -10,6 +10,7 @@ from driftguard import (
     default_leader_radius,
     knn,
     leader,
+    neighbors,
     normalize,
 )
 
@@ -105,6 +106,68 @@ class TestKnn:
     )
     @settings(max_examples=40, deadline=None)
     def test_bruteforce_property(self, pts, k):
+        nl = knn(PointCloud(pts), k)
+        ridx, rdist = ref.ref_knn(pts, k)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    def test_matches_bruteforce_one_sided_cloud(self, rng):
+        # one-sided clipping: ~1/8 of the rows on the origin, far more than a
+        # tree window holds, plus exact ties on the clipped faces
+        pts = np.maximum(rng.normal(size=(2000, 3)), 0.0)
+        n_origin = int((pts == 0).all(axis=1).sum())
+        assert n_origin > 10 + 1 + neighbors._QUERY_PAD
+        nl = knn(PointCloud(pts), 10)
+        ridx, rdist = ref.ref_knn(pts, 10)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    def test_every_row_identical(self):
+        pts = np.full((40, 2), 0.25)
+        nl = knn(PointCloud(pts), 10)
+        ridx, rdist = ref.ref_knn(pts, 10)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+        np.testing.assert_array_equal(nl.indices[0], np.arange(1, 11))
+        np.testing.assert_array_equal(nl.indices[5], [0, 1, 2, 3, 4, 6, 7, 8, 9, 10])
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_duplicate_groups_around_group_size_k(self, rng, k):
+        # groups of exactly k, k+1 and k+2 coincident rows, each ringed by
+        # four distinct points at distance 1; rows shuffled so index order
+        # decides every tie
+        rows = []
+        for g, size in enumerate((k, k + 1, k + 2)):
+            centre = np.array([10.0 * g, 0.0])
+            rows += [centre] * size
+            rows += [centre + off for off in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        pts = np.array(rows)[rng.permutation(len(rows))]
+        nl = knn(PointCloud(pts), k)
+        ridx, rdist = ref.ref_knn(pts, k)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    def test_blocks_and_fallback_match_bruteforce(self, rng, monkeypatch):
+        # many small blocks and a window too narrow for the lattice's rings
+        # of equidistant points, so the per-point full scan runs in most blocks
+        monkeypatch.setattr(neighbors, "_BLOCK", 7)
+        monkeypatch.setattr(neighbors, "_QUERY_PAD", 0)
+        pts = rng.integers(0, 10, (150, 2)).astype(float)
+        nl = knn(PointCloud(pts), 4)
+        ridx, rdist = ref.ref_knn(pts, 4)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bruteforce_property_on_lattice(self, data):
+        # small-integer lattices: duplicate groups of every size and exact
+        # distance ties; -0.0 must tie with 0.0
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        k = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
+        coords = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+        pts = data.draw(arrays(np.float64, (n, d), elements=coords))
         nl = knn(PointCloud(pts), k)
         ridx, rdist = ref.ref_knn(pts, k)
         np.testing.assert_array_equal(nl.indices, ridx)

@@ -30,7 +30,7 @@ from .core import (
     synth_series,
 )
 from .errors import ConfigError, DataError, DriftguardError
-from .evaluation import Combo, grid_evaluate, thread_cap, write_report_csv
+from .evaluation import Combo, grid_evaluate, write_report_csv
 from .pipeline import PipelineConfig, run_detection
 from .rules import RuleConfig
 from .scoring import Method, ScoringConfig
@@ -58,7 +58,6 @@ DEFAULT_CONFIG = {
         "rkof_bandwidth_scale": 1.0,
         "rkof_bandwidth_exponent": 1.0,
         "rkof_weight_sigma": 1.0,
-        "inflo_empty_is_typical": True,
     },
     "threshold": {"alpha": 0.05, "initial_fraction": 0.5, "tail_count": None},
     "rules": {
@@ -169,7 +168,6 @@ def _scoring_config(cfg: dict, method: Method | None = None) -> ScoringConfig:
         rkof_bandwidth_scale=float(s["rkof_bandwidth_scale"]),
         rkof_bandwidth_exponent=float(s["rkof_bandwidth_exponent"]),
         rkof_weight_sigma=float(s["rkof_weight_sigma"]),
-        inflo_empty_is_typical=bool(s["inflo_empty_is_typical"]),
     )
 
 
@@ -334,7 +332,6 @@ def cmd_evaluate(args) -> int:
         threshold_cfg=_threshold_config(cfg),
         rule_cfg=_rule_config(cfg, ms.variables),
         repetitions=reps,
-        max_workers=thread_cap(),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -351,21 +348,6 @@ def cmd_evaluate(args) -> int:
 
 
 def _figure_rows(cfg: dict, ms: MultiSeries, figure: str):
-    if figure == "timeseries":
-        header = ["timestamp"]
-        for s in ms.series:
-            header.append(s.name)
-        for s in ms.series:
-            if s.labels is not None:
-                header.append(s.name + "_label")
-        rows = []
-        for i in range(len(ms)):
-            row = [int(ms.timestamps[i])]
-            row += [float(s.values[i]) for s in ms.series]
-            row += [int(s.labels[i]) for s in ms.series if s.labels is not None]
-            rows.append(row)
-        return header, rows
-
     pcfg = _pipeline_config(cfg, ms)
     result = run_detection(ms, pcfg)
     tm = result.matrix
@@ -448,10 +430,14 @@ def cmd_plotdata(args) -> int:
 
     cfg = load_config(args.config)
     ms = ingest_csv(args.input, site=cfg["site"] or "")
-    header, rows = _figure_rows(cfg, ms, args.figure)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{args.figure}.csv"
+    if args.figure == "timeseries":
+        emit_csv(ms, out)
+        log.info("wrote %d rows to %s", len(ms), out)
+        return EXIT_OK
+    header, rows = _figure_rows(cfg, ms, args.figure)
     with open(out, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(header)

@@ -151,10 +151,6 @@ class MultiSeries:
     def has_labels(self) -> bool:
         return all(s.labels is not None for s in self.series)
 
-    def value_matrix(self, variables: Sequence[str] | None = None) -> np.ndarray:
-        names = list(variables) if variables is not None else list(self.variables)
-        return np.column_stack([self.get(v).values for v in names])
-
 
 @dataclass(frozen=True)
 class GroundTruthVector:

@@ -213,7 +213,7 @@ def _fmt(x: float, places: int = 4) -> str:
     return f"{x:.{places}f}"
 
 
-def write_report_csv(reports: Sequence[EvaluationReport], path, include_timing: bool = True) -> None:
+def write_report_csv(reports: Sequence[EvaluationReport], path) -> None:
     """Emit the ranked grid in the fixed report column order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -242,8 +242,8 @@ def write_report_csv(reports: Sequence[EvaluationReport], path, include_timing: 
                     _fmt(m.op),
                     _fmt(m.ppv),
                     _fmt(m.npv),
-                    _fmt(t.min_t, 2) if (t and include_timing) else "",
-                    _fmt(t.mu_t, 2) if (t and include_timing) else "",
-                    _fmt(t.max_t, 2) if (t and include_timing) else "",
+                    _fmt(t.min_t, 2) if t else "",
+                    _fmt(t.mu_t, 2) if t else "",
+                    _fmt(t.max_t, 2) if t else "",
                 ]
             writer.writerow(row)

@@ -31,11 +31,9 @@ _BLOCK = 2048
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite points plus the min/max record of the normalization that made them."""
+    """Finite points, one row per point."""
 
     points: np.ndarray
-    mins: np.ndarray | None = None
-    maxs: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -54,13 +52,6 @@ class PointCloud:
         """Cheap upper bound on the cloud diameter (bounding-box diagonal)."""
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.sqrt((span**2).sum()))
-
-    def denormalize(self, points: np.ndarray | None = None) -> np.ndarray:
-        """Map (own or given) normalized coordinates back to the original scale."""
-        if self.mins is None or self.maxs is None:
-            raise DataError("cloud carries no normalization record")
-        pts = self.points if points is None else np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return pts * (self.maxs - self.mins) + self.mins
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ def normalize(points: np.ndarray) -> PointCloud:
     safe = np.where(span > 0, span, 1.0)
     scaled = (pts - mins) / safe
     scaled[:, span == 0] = 0.0
-    return PointCloud(points=scaled, mins=mins, maxs=maxs)
+    return PointCloud(points=scaled)
 
 
 def knn(cloud: PointCloud, k: int) -> NeighborLists:

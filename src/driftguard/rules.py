@@ -60,22 +60,6 @@ class RuleFlags:
         """Per-timestamp: did any rule fire here."""
         return self.out_of_range.any(axis=1) | self.negative.any(axis=1) | self.missing_gap
 
-    def cell_rules(self, index: int, variable: str) -> frozenset[str]:
-        j = self.variables.index(variable)
-        fired = set()
-        if self.out_of_range[index, j]:
-            fired.add(OUT_OF_RANGE)
-        if self.negative[index, j]:
-            fired.add(NEGATIVE)
-        if self.missing_gap[index]:
-            fired.add(MISSING_GAP)
-        return frozenset(fired)
-
-    def count(self) -> int:
-        return int(
-            self.out_of_range.sum() + self.negative.sum() + self.missing_gap.sum()
-        )
-
 
 def apply_rules(ms: MultiSeries, cfg: RuleConfig) -> tuple[RuleFlags, MultiSeries]:
     """Flag rule violations and return a cleaned copy with flagged cells blanked.

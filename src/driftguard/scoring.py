@@ -60,7 +60,6 @@ class ScoringConfig:
     rkof_bandwidth_scale: float = 1.0  # C
     rkof_bandwidth_exponent: float = 1.0  # lambda
     rkof_weight_sigma: float = 1.0  # sigma
-    inflo_empty_is_typical: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -209,8 +208,8 @@ def score_inflo(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Influenced outlierness over the union of kNN and reverse kNN.
 
     den(p) = 1 / k-distance(p); the score is the mean density of the
-    influence space divided by den(p). A point with an empty influence space
-    scores 1 (typical) unless configured as maximally outlying.
+    influence space divided by den(p). The influence space always holds the
+    point's k >= 1 nearest neighbors, so it is never empty.
     """
     _check_cloud(cloud, cfg.k)
     nl = knn(cloud, cfg.k)
@@ -228,16 +227,7 @@ def score_inflo(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     sums = np.bincount(owners, weights=den[members], minlength=n)
     counts = np.bincount(owners, minlength=n)
 
-    scores = np.empty(n)
-    has_space = counts > 0  # kNN is never empty, so this never fails in practice
-    scores[has_space] = sums[has_space] / counts[has_space] / den[has_space]
-    notes = ()
-    if not has_space.all():
-        empty = ~has_space
-        cap = (scores[has_space].max() if has_space.any() else 1.0) * 10.0
-        scores[empty] = 1.0 if cfg.inflo_empty_is_typical else cap
-        notes = (f"{int(empty.sum())} points with empty influence space",)
-    return ScoreVector(scores, Method.INFLO, notes)
+    return ScoreVector(sums / counts / den, Method.INFLO)
 
 
 def score_ldof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:

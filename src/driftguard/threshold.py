@@ -54,7 +54,6 @@ class ThresholdTrace:
     flagged_indices: np.ndarray
     degenerate: bool = False
     note: str = ""
-    anchor: str = "max_typical"  # cutoff = max(typical) + ln(1/alpha) * scale
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -94,24 +93,13 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
 
     # The typical set at candidate i is always ss[:i], so every window fit is
     # a pure function of the sorted scores and can be computed up front.
+    # tail_count leading zero spacings let a typical set with fewer spacings
+    # than the window average over the i - 1 it has.
     candidates = np.arange(m0, n)
-    ghat = np.empty(len(candidates))
-    gaps = np.diff(ss)
-    for pos, i in enumerate(candidates):
-        tc = min(tail_count, i - 1)
-        if tc == tail_count:
-            break
-        window = gaps[i - 1 - tc : i - 1]  # ascending: D_tc .. D_1
-        weights = np.arange(tc + 1, 1, -1, dtype=np.float64)
-        ghat[pos] = (weights * window).sum() / tc
-    else:
-        pos = len(candidates)
-    if pos < len(candidates):
-        tc = tail_count
-        kernel = np.arange(tc + 1, 1, -1, dtype=np.float64)  # window position 0 = D_tc
-        windows = np.lib.stride_tricks.sliding_window_view(gaps, tc)
-        starts = candidates[pos:] - 1 - tc
-        ghat[pos:] = windows[starts] @ kernel / tc
+    gaps = np.concatenate([np.zeros(tail_count), np.diff(ss)])
+    kernel = np.arange(tail_count + 1, 1, -1, dtype=np.float64)  # window position 0 = D_tc
+    windows = np.lib.stride_tricks.sliding_window_view(gaps, tail_count)
+    ghat = windows[candidates - 1] @ kernel / np.minimum(tail_count, candidates - 1)
 
     cutoffs = ss[candidates - 1] + log_alpha * ghat
     exceed = ss[candidates] > cutoffs

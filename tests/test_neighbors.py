@@ -40,15 +40,6 @@ class TestNormalize:
         with pytest.raises(DataError):
             normalize(np.array([[1.0], [np.nan]]))
 
-    def test_denormalize_round_trip(self, rng):
-        pts = rng.normal(3, 10, (50, 3))
-        cloud = normalize(pts)
-        np.testing.assert_allclose(cloud.denormalize(), pts, rtol=1e-12, atol=1e-12)
-
-    def test_denormalize_requires_record(self):
-        with pytest.raises(DataError):
-            PointCloud(np.zeros((3, 1))).denormalize()
-
 
 class TestKnn:
     def test_1d_distance_sums(self):

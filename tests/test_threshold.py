@@ -130,6 +130,27 @@ class TestEvtFlag:
         _, trace = evt_flag(scores, ThresholdConfig(tail_count=10))
         assert trace.effective_tail_count == 10
 
+    @pytest.mark.parametrize("tail_count", [None, 25, 50])
+    def test_spacing_scale_matches_per_candidate_formula(self, rng, tail_count):
+        # n=40 gives a typical set of 20-39 scores: tail_count 50 is wider than
+        # every window, 25 only than the first ones, the default never
+        scores = np.concatenate([rng.exponential(1.0, 39), [60.0]])
+        flags, trace = evt_flag(scores, ThresholdConfig(tail_count=tail_count))
+        ss = np.sort(scores)
+        tc_max = trace.effective_tail_count
+        ghat, decisions = [], []
+        for i in range(20, len(ss)):
+            tc = min(tc_max, i - 1)
+            ghat.append(sum((j + 1) * (ss[i - j] - ss[i - j - 1]) for j in range(1, tc + 1)) / tc)
+            stop = ss[i] > ss[i - 1] + np.log(1 / 0.05) * ghat[-1]
+            decisions.append("stop" if stop else "absorb")
+            if stop:
+                break
+        np.testing.assert_allclose(trace.spacing_scales, ghat, rtol=1e-13)
+        assert trace.decisions == tuple(decisions)
+        assert decisions[-1] == "stop"
+        np.testing.assert_array_equal(flags, scores >= ss[19 + len(decisions)])
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ThresholdConfig(alpha=0.0)

@@ -302,24 +302,17 @@ def ingest_csv(
 
 def emit_csv(ms: MultiSeries, path) -> None:
     """Write a MultiSeries in the exact shape ``ingest_csv`` reads back."""
-    header = ["timestamp"]
-    for s in ms.series:
-        header.append(s.name)
-    for s in ms.series:
-        if s.labels is not None:
-            header.append(s.name + LABEL_SUFFIX)
+    labelled = [s for s in ms.series if s.labels is not None]
+    header = ["timestamp"] + [s.name for s in ms.series]
+    header += [s.name + LABEL_SUFFIX for s in labelled]
+    stamps = np.datetime_as_string(ms.timestamps.astype("datetime64[s]"), unit="s")
+    cols = [stamps.tolist()]
+    cols += [["" if math.isnan(v) else repr(v) for v in s.values.tolist()] for s in ms.series]
+    cols += [[str(x) for x in s.labels.tolist()] for s in labelled]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(ms)):
-            row = [_format_epoch(ms.timestamps[i])]
-            for s in ms.series:
-                v = s.values[i]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            for s in ms.series:
-                if s.labels is not None:
-                    row.append(str(int(s.labels[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

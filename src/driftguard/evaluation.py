@@ -177,9 +177,16 @@ def grid_evaluate(
                 threshold=threshold_cfg,
                 rules=rule_cfg,
             )
-            result = pipeline.run_detection(ms, pcfg)
-            cm = confusion(result.predicted, truth)
-            timing = benchmark(lambda: pipeline.run_detection(ms, pcfg), repetitions)
+            first = []
+
+            def run():
+                result = pipeline.run_detection(ms, pcfg)
+                if not first:
+                    first.append(result)
+
+            # benchmark's untimed warm-up run supplies the confusion matrix.
+            timing = benchmark(run, repetitions)
+            cm = confusion(first[0].predicted, truth)
             return EvaluationReport(combo, cm, metrics(cm), timing)
         except Exception as exc:  # per-combo isolation
             return EvaluationReport(combo, None, None, None, error=str(exc))

@@ -7,6 +7,10 @@ ties broken by lower index. It runs on the distinct points: exact duplicate
 rows (the origin cluster of the one-sided transform) collapse into one tree
 point, and the full scan fires only when distinct points tie across the edge
 of the tree window.
+
+Leader clustering follows the same contract: one tree over the cloud, one
+ball query per exemplar, and each candidate's distance recomputed from the
+coordinates, so the clusters are those of a direct single pass.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ _QUERY_PAD = 16
 # Distinct points queried and ranked together; bounds the candidate expansion
 # (at most block x window x (k + 1) entries) and so peak memory.
 _BLOCK = 2048
+# Relative margin on a Leader ball query, far above rounding in the tree's
+# distances, so the ball holds every point the exact formula puts in reach.
+_BALL_PAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,51 +172,31 @@ def leader(cloud: PointCloud, radius: float) -> LeaderClustering:
     In point order, each point joins the first exemplar (creation order)
     within ``radius``, else becomes a new exemplar. Order-dependent by design.
 
-    Points are processed in chunks: a chunk member hit by a pre-chunk
-    exemplar keeps that first hit (always earlier in creation order than any
-    exemplar born inside the chunk); only uncovered members walk the chunk's
-    newborn exemplars sequentially.
+    Each exemplar is the lowest-index point no earlier exemplar covers, and it
+    claims every still-uncovered point within ``radius``. The tree ball only
+    selects candidates; the exact distance formula decides.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise DataError("leader radius must be positive")
     pts = cloud.points
     n = len(pts)
     assignment = np.empty(n, dtype=np.int64)
-    exemplar_idx = np.empty(n, dtype=np.int64)
-    exemplar_pts = np.empty_like(pts)
-    m = 0
-    chunk = 256
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        if m:
-            d = np.sqrt(
-                ((block[:, None, :] - exemplar_pts[None, :m, :]) ** 2).sum(axis=-1)
-            )
-            within = d <= radius
-            covered = within.any(axis=1)
-            first_hit = within.argmax(axis=1)
-        else:
-            covered = np.zeros(len(block), dtype=bool)
-            first_hit = None
-        m_at_start = m
-        for j in range(len(block)):
-            if covered[j]:
-                assignment[start + j] = first_hit[j]
-                continue
-            if m > m_at_start:
-                d_new = np.sqrt(
-                    ((exemplar_pts[m_at_start:m] - block[j]) ** 2).sum(axis=-1)
-                )
-                hits = np.nonzero(d_new <= radius)[0]
-                if hits.size:
-                    assignment[start + j] = m_at_start + hits[0]
-                    continue
-            assignment[start + j] = m
-            exemplar_idx[m] = start + j
-            exemplar_pts[m] = block[j]
-            m += 1
+    uncovered = np.ones(n + 1, dtype=bool)  # trailing sentinel ends the scan
+    exemplars = []
+    tree = cKDTree(pts)
+    reach = radius * (1.0 + _BALL_PAD)
+    i = 0
+    while i < n:
+        ball = np.asarray(tree.query_ball_point(pts[i], reach), dtype=np.int64)
+        ball = ball[uncovered[ball]]
+        d = np.sqrt(((pts[ball] - pts[i]) ** 2).sum(axis=-1))
+        hit = ball[d <= radius]
+        assignment[hit] = len(exemplars)
+        uncovered[hit] = False
+        exemplars.append(i)
+        i += int(uncovered[i:].argmax())
     return LeaderClustering(
-        exemplars=exemplar_idx[:m].copy(),
+        exemplars=np.asarray(exemplars, dtype=np.int64),
         assignment=assignment,
         radius=float(radius),
     )

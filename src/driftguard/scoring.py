@@ -64,9 +64,10 @@ class ScoringConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be at least 1")
-        if self.leader_radius is not None and self.leader_radius <= 0:
+        # Written as not (x > 0) so that NaN is refused too.
+        if self.leader_radius is not None and not self.leader_radius > 0:
             raise ConfigError("leader_radius must be positive")
-        if self.rkof_bandwidth_scale <= 0 or self.rkof_weight_sigma <= 0:
+        if not (self.rkof_bandwidth_scale > 0 and self.rkof_weight_sigma > 0):
             raise ConfigError("kernel parameters must be positive")
 
 

@@ -138,6 +138,16 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(tmp_path / "none.csv"), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_nan_leader_radius_is_config_error(self, tmp_path):
+        data = synth(tmp_path, write_config(tmp_path))
+        for radius, expected in [(0.05, EXIT_OK), (float("nan"), EXIT_CONFIG)]:
+            # Python's json writes and reads the non-standard NaN literal.
+            cfg = write_config(tmp_path, scoring={"method": "HDoutliers", "leader_radius": radius})
+            out = tmp_path / f"o{radius}"
+            code = main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)])
+            assert code == expected
+            assert (out / "manifest.json").exists() == (expected == EXIT_OK)
+
     def test_unknown_variable_is_config_error(self, tmp_path):
         data = synth(tmp_path, write_config(tmp_path))
         cfg = write_config(tmp_path, variables=["ph"])  # reuses the same data file

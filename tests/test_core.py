@@ -5,6 +5,7 @@ from driftguard import (
     BaseSignal,
     DataError,
     FaultSpec,
+    MultiSeries,
     SensorSeries,
     SynthConfig,
     emit_csv,
@@ -123,6 +124,33 @@ class TestEmitRoundtrip:
         back = ingest_csv(out)
         vals = back.get("turbidity").values
         assert np.isnan(vals[1]) and vals[0] == 1.0 and vals[2] == 3.0
+
+    def test_exact_bytes(self, tmp_path):
+        ts = [-86400 * 365, -1, 0, 1, 1_500_000_000]
+        ms = MultiSeries(
+            site="s",
+            series=(
+                SensorSeries("turbidity", ts, [1.5, np.nan, -0.0, 1e-05, 1e16]),
+                SensorSeries("conductivity", ts, [300.0, 0.1, np.nan, 2.0, -7.25], [0, 1, 0, 0, 1]),
+            ),
+        )
+        out = tmp_path / "x.csv"
+        emit_csv(ms, out)
+        assert out.read_bytes() == (
+            b"timestamp,turbidity,conductivity,conductivity_label\r\n"
+            b"1969-01-01T00:00:00,1.5,300.0,0\r\n"
+            b"1969-12-31T23:59:59,,0.1,1\r\n"
+            b"1970-01-01T00:00:00,-0.0,,0\r\n"
+            b"1970-01-01T00:00:01,1e-05,2.0,0\r\n"
+            b"2017-07-14T02:40:00,1e+16,-7.25,1\r\n"
+        )
+
+    def test_years_before_1000_roundtrip(self, tmp_path):
+        ms = make_multiseries({"turbidity": [1.0, 2.0]}, start=-30_662_668_800)
+        out = tmp_path / "old.csv"
+        emit_csv(ms, out)
+        assert "0998-05-04T00:00:00" in out.read_text()
+        np.testing.assert_array_equal(ingest_csv(out).timestamps, ms.timestamps)
 
 
 class TestGroundTruth:

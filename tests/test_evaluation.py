@@ -129,6 +129,24 @@ class TestGrid:
         reports = grid_evaluate(labeled_synth, [good, bad], repetitions=3)
         assert not any(r.error for r in reports)
 
+    def test_warm_up_run_gives_the_confusion_matrix(self, labeled_synth, monkeypatch):
+        # one untimed run plus the timed repetitions per combo, and the report
+        # counts the first run's predictions
+        from driftguard import ground_truth, pipeline, run_detection
+
+        calls = []
+
+        def counted(ms, pcfg):
+            result = run_detection(ms, pcfg)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(pipeline, "run_detection", counted)
+        combo = self.combos()[0]
+        (report,) = grid_evaluate(labeled_synth, [combo], repetitions=4, max_workers=1)
+        assert len(calls) == 5
+        assert report.cm == confusion(calls[0].predicted, ground_truth(labeled_synth))
+
     def test_duplicate_combos_identical_metrics(self, labeled_synth):
         combo = self.combos()[0]
         reports = grid_evaluate(labeled_synth, [combo, combo], repetitions=3)

@@ -196,16 +196,49 @@ class TestLeader:
             d = np.sqrt(((pts - ex_pts) ** 2).sum(axis=1))
             assert (d <= radius).all()
 
-    def test_matches_reference_pass(self, rng):
-        pts = rng.random((120, 2))
-        lc = leader(PointCloud(pts), 0.2)
-        rex, rassign = ref.ref_leader(pts, 0.2)
+    def assert_matches_reference(self, pts, radius):
+        lc = leader(PointCloud(pts), radius)
+        rex, rassign = ref.ref_leader(pts, radius)
         np.testing.assert_array_equal(lc.exemplars, rex)
         np.testing.assert_array_equal(lc.assignment, rassign)
+        return lc
+
+    def test_matches_reference_pass(self, rng):
+        self.assert_matches_reference(rng.random((120, 2)), 0.2)
+
+    def test_matches_reference_one_sided_cloud(self, rng):
+        # one-sided clipping: a quarter of the rows on the origin, exact ties
+        # on the clipped faces, and hundreds of exemplars
+        pts = normalize(np.maximum(rng.normal(size=(2000, 2)), 0.0)).points
+        assert (pts == 0).all(axis=1).sum() > 400
+        lc = self.assert_matches_reference(pts, default_leader_radius(2000, 2))
+        assert len(lc.exemplars) > 100
+
+    @pytest.mark.parametrize("radius", [1.0, np.sqrt(2.0)])
+    def test_matches_reference_on_lattice_ties(self, rng, radius):
+        # shuffled lattice with repeats: lattice neighbours sit at exactly
+        # the radius, so the <= comparison decides who joins
+        grid = np.array([[x, y] for x in range(8) for y in range(8)], dtype=float)
+        pts = np.vstack([grid, grid[rng.integers(0, 64, 40)]])[rng.permutation(104)]
+        self.assert_matches_reference(pts, radius)
+
+    def test_every_row_identical(self):
+        lc = self.assert_matches_reference(np.full((40, 3), 0.25), 0.1)
+        np.testing.assert_array_equal(lc.exemplars, [0])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reference_property_on_lattice(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60))
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        radius = data.draw(st.sampled_from([0.5, 1.0, np.sqrt(2.0), 2.0]))
+        coords = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+        self.assert_matches_reference(data.draw(arrays(np.float64, (n, d), elements=coords)), radius)
 
     def test_radius_must_be_positive(self):
-        with pytest.raises(DataError):
-            leader(PointCloud(np.zeros((2, 1))), 0.0)
+        for radius in (0.0, np.nan):
+            with pytest.raises(DataError):
+                leader(PointCloud(np.zeros((2, 1))), radius)
 
 
 def test_default_radius_formula():

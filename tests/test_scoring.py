@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftguard import DataError, Method, PointCloud, ScoringConfig, normalize, score
+from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, normalize, score
 from driftguard.scoring import (
     knn_agg_weights,
     score_cof,
@@ -50,6 +50,15 @@ class TestHDoutliers:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             score_hdoutliers(PointCloud(np.zeros((1, 1))), ScoringConfig())
+
+
+@pytest.mark.parametrize(
+    "field", ["leader_radius", "rkof_bandwidth_scale", "rkof_weight_sigma"]
+)
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_config_rejects_non_positive_and_nan(field, value):
+    with pytest.raises(ConfigError):
+        ScoringConfig(**{field: value})
 
 
 class TestKnnSum:

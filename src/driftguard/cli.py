@@ -138,8 +138,16 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def _bound(x, default: float) -> float:
-    return default if x is None else float(x)
+def _num(kind: type, value, key: str):
+    """``kind(value)`` for int or float; a value it refuses is a ConfigError naming key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _bound(x, default: float, key: str) -> float:
+    return default if x is None else _num(float, x, key)
 
 
 def _rule_config(cfg: dict, variables) -> RuleConfig | None:
@@ -151,32 +159,39 @@ def _rule_config(cfg: dict, variables) -> RuleConfig | None:
         pair = rules["ranges"].get(var, [None, None])
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"rules.ranges.{var}: expected [min, max]")
-        ranges[var] = (_bound(pair[0], -math.inf), _bound(pair[1], math.inf))
+        key = f"rules.ranges.{var}"
+        ranges[var] = (_bound(pair[0], -math.inf, key), _bound(pair[1], math.inf, key))
     return RuleConfig(
         ranges=ranges,
-        max_gap_minutes=float(rules["max_gap_minutes"]),
+        max_gap_minutes=_num(float, rules["max_gap_minutes"], "rules.max_gap_minutes"),
         forbid_negative=rules["forbid_negative"],
     )
 
 
-def _scoring_config(cfg: dict, method: Method | None = None) -> ScoringConfig:
+def _scoring_config(cfg: dict) -> ScoringConfig:
     s = cfg["scoring"]
+    radius = s["leader_radius"]
     return ScoringConfig(
-        method=method if method is not None else Method.parse(s["method"]),
-        k=int(s["k"]),
-        leader_radius=None if s["leader_radius"] is None else float(s["leader_radius"]),
-        rkof_bandwidth_scale=float(s["rkof_bandwidth_scale"]),
-        rkof_bandwidth_exponent=float(s["rkof_bandwidth_exponent"]),
-        rkof_weight_sigma=float(s["rkof_weight_sigma"]),
+        method=Method.parse(s["method"]),
+        k=_num(int, s["k"], "scoring.k"),
+        leader_radius=None if radius is None else _num(float, radius, "scoring.leader_radius"),
+        rkof_bandwidth_scale=_num(
+            float, s["rkof_bandwidth_scale"], "scoring.rkof_bandwidth_scale"
+        ),
+        rkof_bandwidth_exponent=_num(
+            float, s["rkof_bandwidth_exponent"], "scoring.rkof_bandwidth_exponent"
+        ),
+        rkof_weight_sigma=_num(float, s["rkof_weight_sigma"], "scoring.rkof_weight_sigma"),
     )
 
 
 def _threshold_config(cfg: dict) -> ThresholdConfig:
     t = cfg["threshold"]
+    tail = t["tail_count"]
     return ThresholdConfig(
-        alpha=float(t["alpha"]),
-        initial_fraction=float(t["initial_fraction"]),
-        tail_count=None if t["tail_count"] is None else int(t["tail_count"]),
+        alpha=_num(float, t["alpha"], "threshold.alpha"),
+        initial_fraction=_num(float, t["initial_fraction"], "threshold.initial_fraction"),
+        tail_count=None if tail is None else _num(int, tail, "threshold.tail_count"),
     )
 
 
@@ -211,28 +226,34 @@ def _synth_config(cfg: dict) -> SynthConfig:
     s = cfg["synth"]
     base = {}
     for var, spec in s["base"].items():
+        key = f"synth.base.{var}"
         base[var] = BaseSignal(
-            level=float(spec.get("level", 0.0)),
-            amplitude=float(spec.get("amplitude", 0.0)),
-            period=float(spec.get("period", 500.0)),
-            noise_sd=float(spec.get("noise_sd", 0.0)),
+            level=_num(float, spec.get("level", 0.0), f"{key}.level"),
+            amplitude=_num(float, spec.get("amplitude", 0.0), f"{key}.amplitude"),
+            period=_num(float, spec.get("period", 500.0), f"{key}.period"),
+            noise_sd=_num(float, spec.get("noise_sd", 0.0), f"{key}.noise_sd"),
         )
     faults = tuple(
         FaultSpec(
             variable=f["variable"],
-            index=int(f["index"]),
+            index=_num(int, f["index"], f"synth.faults[{i}].index"),
             kind=f["kind"],
-            magnitude=float(f["magnitude"]),
+            magnitude=_num(float, f["magnitude"], f"synth.faults[{i}].magnitude"),
         )
-        for f in s["faults"]
+        for i, f in enumerate(s["faults"])
     )
+    gap = s["gap_minutes"]
+    long_gap_at = s["long_gap_at"]
     return SynthConfig(
-        n_points=int(s["n_points"]),
+        n_points=_num(int, s["n_points"], "synth.n_points"),
         base=base,
-        gap_minutes=(int(s["gap_minutes"][0]), int(s["gap_minutes"][1])),
+        gap_minutes=(
+            _num(int, gap[0], "synth.gap_minutes"),
+            _num(int, gap[1], "synth.gap_minutes"),
+        ),
         faults=faults,
-        long_gap_at=None if s["long_gap_at"] is None else int(s["long_gap_at"]),
-        long_gap_minutes=int(s["long_gap_minutes"]),
+        long_gap_at=None if long_gap_at is None else _num(int, long_gap_at, "synth.long_gap_at"),
+        long_gap_minutes=_num(int, s["long_gap_minutes"], "synth.long_gap_minutes"),
         site=s["site"],
     )
 
@@ -287,7 +308,7 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    seed = args.seed if args.seed is not None else _num(int, cfg["seed"], "seed")
     ms = synth_series(_synth_config(cfg), seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -324,13 +345,14 @@ def cmd_evaluate(args) -> int:
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
     combos = _combos(cfg, ms, args.combo)
-    reps = args.reps if args.reps is not None else int(cfg["reps"])
+    reps = args.reps if args.reps is not None else _num(int, cfg["reps"], "reps")
     reports = grid_evaluate(
         ms,
         combos,
         scoring_base=_scoring_config(cfg),  # method overridden per combo
         threshold_cfg=_threshold_config(cfg),
         rule_cfg=_rule_config(cfg, ms.variables),
+        sides=cfg["transform"]["sides"] or None,
         repetitions=reps,
     )
     out_dir = Path(args.out_dir)

@@ -103,10 +103,14 @@ class TimingStats:
     max_t: float
 
 
-def benchmark(run: Callable[[], object], repetitions: int) -> TimingStats:
-    """Wall-clock stats over ``repetitions`` calls, one warm-up call excluded."""
+def _check_repetitions(repetitions: int) -> None:
     if repetitions < 3:
         raise ConfigError("benchmark needs at least 3 repetitions")
+
+
+def benchmark(run: Callable[[], object], repetitions: int) -> TimingStats:
+    """Wall-clock stats over ``repetitions`` calls, one warm-up call excluded."""
+    _check_repetitions(repetitions)
     run()
     samples = []
     for _ in range(repetitions):
@@ -155,17 +159,21 @@ def grid_evaluate(
     scoring_base: ScoringConfig = ScoringConfig(),
     threshold_cfg: ThresholdConfig = ThresholdConfig(),
     rule_cfg=None,
+    sides=None,
     repetitions: int = 3,
     max_workers: int | None = None,
 ) -> list[EvaluationReport]:
     """Run the full pipeline for every combo and rank reports by OP descending.
 
+    ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Per-combo failures are captured in the report rather than aborting the
-    grid. NaN-OP and failed rows sink to the bottom; ties order
-    lexicographically by (variables, transformation, method).
+    grid; too few repetitions is refused before any combo runs. NaN-OP and
+    failed rows sink to the bottom; ties order lexicographically by
+    (variables, transformation, method).
     """
     from . import pipeline  # local import: pipeline depends on this module's types
 
+    _check_repetitions(repetitions)
     truth = ground_truth(ms)
 
     def run_one(combo: Combo) -> EvaluationReport:
@@ -176,6 +184,7 @@ def grid_evaluate(
                 scoring=replace(scoring_base, method=combo.method),
                 threshold=threshold_cfg,
                 rules=rule_cfg,
+                sides=sides,
             )
             first = []
 

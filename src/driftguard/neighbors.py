@@ -83,6 +83,8 @@ def normalize(points: np.ndarray) -> PointCloud:
     Idempotent: normalizing an already-normalized cloud is the identity.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(pts) == 0:
+        raise DataError("cannot normalize zero points")
     if not np.isfinite(pts).all():
         raise DataError("cannot normalize non-finite points")
     mins = pts.min(axis=0)

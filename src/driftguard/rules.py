@@ -34,7 +34,8 @@ class RuleConfig:
     forbid_negative: Mapping[str, bool] | bool = True
 
     def __post_init__(self):
-        if self.max_gap_minutes <= 0:
+        # Written as not (x > 0) so that NaN is refused too.
+        if not self.max_gap_minutes > 0:
             raise ConfigError("max_gap_minutes must be positive")
         for var, (lo, hi) in self.ranges.items():
             if not lo < hi:

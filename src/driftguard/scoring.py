@@ -3,7 +3,9 @@
 Four are nearest-neighbor-distance based (exemplar NN distance, weighted and
 plain kNN distance sums, relative kNN distance) and four are density based
 (reachability, chaining, reverse-neighborhood, and kernel density factors).
-All consume a normalized cloud so no variable dominates the metric.
+All consume a normalized cloud so no variable dominates the metric. ``score``
+checks the cloud and, for the seven kNN scorers, builds the neighbor lists
+with one ``knn`` call; those scorers are formulas over the lists.
 """
 
 from __future__ import annotations
@@ -89,17 +91,18 @@ class ScoreVector:
         return len(self.scores)
 
 
-def _check_cloud(cloud: PointCloud, k: int) -> None:
-    n = len(cloud)
-    if n < 2:
-        raise DataError("scoring needs at least 2 points")
-    if k >= n:
-        raise DataError(f"k={k} must be smaller than the cloud size n={n}")
-
-
 def _density_floor(cloud: PointCloud) -> float:
     """Machine-epsilon-scaled floor keeping degenerate ratios finite."""
     return float(np.finfo(np.float64).eps * max(cloud.diameter_bound(), 1.0))
+
+
+def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:
+    """Set the bad scores to 10x the largest finite score, in place; note how many."""
+    if not bad.any():
+        return ()
+    finite = scores[np.isfinite(scores)]
+    scores[bad] = (finite.max() if finite.size else 1.0) * 10.0
+    return (f"{int(bad.sum())} {what}",)
 
 
 def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
@@ -108,13 +111,10 @@ def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     Leader-clusters the cloud, computes each exemplar's distance to its
     nearest fellow exemplar, and assigns that distance to all members.
     """
-    n = len(cloud)
-    if n < 2:
-        raise DataError("scoring needs at least 2 points")
     radius = (
         cfg.leader_radius
         if cfg.leader_radius is not None
-        else default_leader_radius(n, cloud.dim)
+        else default_leader_radius(len(cloud), cloud.dim)
     )
     clustering = leader(cloud, radius)
     ex = clustering.exemplars
@@ -128,10 +128,8 @@ def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     return ScoreVector(ex_scores[clustering.assignment], Method.HDOUTLIERS, notes)
 
 
-def score_knn_sum(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_knn_sum(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Sum of distances to the k nearest neighbors."""
-    _check_cloud(cloud, cfg.k)
-    nl = knn(cloud, cfg.k)
     return ScoreVector(nl.distances.sum(axis=1), Method.KNN_SUM)
 
 
@@ -140,10 +138,8 @@ def knn_agg_weights(k: int) -> np.ndarray:
     return np.arange(k, 0, -1, dtype=np.float64) / (k * (k + 1) / 2.0)
 
 
-def score_knn_agg(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_knn_agg(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Weighted kNN distance sum giving nearer neighbors higher weight."""
-    _check_cloud(cloud, cfg.k)
-    nl = knn(cloud, cfg.k)
     return ScoreVector(nl.distances @ knn_agg_weights(cfg.k), Method.KNN_AGG)
 
 
@@ -155,10 +151,8 @@ def _lrd(cloud: PointCloud, nl: NeighborLists) -> np.ndarray:
     return 1.0 / np.maximum(mean_reach, _density_floor(cloud))
 
 
-def score_lof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_lof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Classical local outlier factor: neighbor density over own density."""
-    _check_cloud(cloud, cfg.k)
-    nl = knn(cloud, cfg.k)
     lrd = _lrd(cloud, nl)
     return ScoreVector(lrd[nl.indices].mean(axis=1) / lrd, Method.LOF)
 
@@ -191,11 +185,9 @@ def _avg_chain_dists(pts: np.ndarray, neighbor_idx: np.ndarray, k: int) -> np.nd
     return ac
 
 
-def score_cof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Connectivity-based factor comparing chaining distances with neighbors'."""
-    _check_cloud(cloud, cfg.k)
     k = cfg.k
-    nl = knn(cloud, k)
     ac = _avg_chain_dists(cloud.points, nl.indices, k)
     denom = ac[nl.indices].sum(axis=1)
     floor = k * _density_floor(cloud)
@@ -205,15 +197,13 @@ def score_cof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     return ScoreVector(scores, Method.COF)
 
 
-def score_inflo(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Influenced outlierness over the union of kNN and reverse kNN.
 
     den(p) = 1 / k-distance(p); the score is the mean density of the
     influence space divided by den(p). The influence space always holds the
     point's k >= 1 nearest neighbors, so it is never empty.
     """
-    _check_cloud(cloud, cfg.k)
-    nl = knn(cloud, cfg.k)
     n = len(cloud)
     kdist = nl.distances[:, -1]
     den = 1.0 / np.maximum(kdist, _density_floor(cloud))
@@ -231,48 +221,37 @@ def score_inflo(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     return ScoreVector(sums / counts / den, Method.INFLO)
 
 
-def score_ldof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Relative distance factor: mean kNN distance over mean inner kNN distance."""
     if cfg.k < 2:
         raise DataError("this factor needs k >= 2")
-    _check_cloud(cloud, cfg.k)
     k = cfg.k
-    nl = knn(cloud, k)
     pts = cloud.points
     dbar = nl.distances.mean(axis=1)
     nbr = pts[nl.indices]  # (n, k, d)
     pair = np.sqrt(((nbr[:, :, None, :] - nbr[:, None, :, :]) ** 2).sum(axis=-1))
     inner = pair.sum(axis=(1, 2)) / (k * (k - 1))
 
-    notes = ()
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = dbar / inner
     degenerate = inner == 0
-    if degenerate.any():
-        coincident = degenerate & (dbar == 0)
-        scores[coincident] = 1.0
-        isolated = degenerate & ~coincident
-        if isolated.any():
-            finite = scores[np.isfinite(scores)]
-            cap = (finite.max() if finite.size else 1.0) * 10.0
-            scores[isolated] = cap
-            notes = (
-                f"{int(isolated.sum())} points with coincident neighborhoods "
-                "capped at 10x the largest finite score",
-            )
+    coincident = degenerate & (dbar == 0)
+    scores[coincident] = 1.0
+    notes = _cap(
+        scores,
+        degenerate & ~coincident,
+        "points with coincident neighborhoods capped at 10x the largest finite score",
+    )
     return ScoreVector(scores, Method.LDOF, notes)
 
 
-def score_rkof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score_rkof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Kernel-density factor: weighted neighborhood density over own density.
 
     Variable-bandwidth Gaussian kernel density with bandwidth
     C * kdist(o)**lambda per neighbor, floored at a machine-epsilon-scaled
     cloud diameter so coincident points stay finite.
     """
-    _check_cloud(cloud, cfg.k)
-    k = cfg.k
-    nl = knn(cloud, k)
     pts = cloud.points
     d = cloud.dim
     kdist = nl.distances[:, -1]
@@ -293,18 +272,11 @@ def score_rkof(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     tiny = np.finfo(np.float64).tiny
     with np.errstate(over="ignore"):
         scores = wde / np.maximum(kde, tiny)
-    notes = ()
-    bad = ~np.isfinite(scores)
-    if bad.any():
-        finite = scores[~bad]
-        cap = (finite.max() if finite.size else 1.0) * 10.0
-        scores[bad] = cap
-        notes = (f"{int(bad.sum())} vanishing-density ratios capped",)
+    notes = _cap(scores, ~np.isfinite(scores), "vanishing-density ratios capped")
     return ScoreVector(scores, Method.RKOF, notes)
 
 
-_SCORERS = {
-    Method.HDOUTLIERS: score_hdoutliers,
+_KNN_SCORERS = {
     Method.KNN_SUM: score_knn_sum,
     Method.KNN_AGG: score_knn_agg,
     Method.LOF: score_lof,
@@ -316,5 +288,13 @@ _SCORERS = {
 
 
 def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
-    """Run the configured scorer on a (normalized) point cloud."""
-    return _SCORERS[cfg.method](cloud, cfg)
+    """Run the configured scorer on a (normalized) point cloud.
+
+    Checks the cloud once; the kNN scorers share one ``knn`` call, which
+    refuses k >= n.
+    """
+    if len(cloud) < 2:
+        raise DataError("scoring needs at least 2 points")
+    if cfg.method is Method.HDOUTLIERS:
+        return score_hdoutliers(cloud, cfg)
+    return _KNN_SCORERS[cfg.method](cloud, knn(cloud, cfg.k), cfg)

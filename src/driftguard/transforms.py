@@ -169,7 +169,12 @@ def resolve_sides(
             raise ConfigError(
                 f"one_sided_derivative: no side tag for variable {var!r}"
             )
-        resolved[var] = Side(raw)
+        try:
+            resolved[var] = Side(raw)
+        except ValueError:
+            raise ConfigError(
+                f"one_sided_derivative: unknown side tag {raw!r} for variable {var!r}"
+            ) from None
     return resolved
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from driftguard.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_config, main
+from driftguard import confusion, ground_truth, ingest_csv, run_detection
+from driftguard.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _pipeline_config, load_config, main
 from driftguard.errors import ConfigError
 
 
@@ -148,6 +149,17 @@ class TestDetectCommand:
             assert code == expected
             assert (out / "manifest.json").exists() == (expected == EXIT_OK)
 
+    def test_no_rows_left_is_data_error(self, tmp_path):
+        # every reading is negative: the rules blank them all, so the
+        # transform leaves nothing to score
+        data = tmp_path / "neg.csv"
+        data.write_text(
+            "timestamp,turbidity\n"
+            "2017-03-12T00:00:00,-1.0\n2017-03-12T00:10:00,-2.0\n2017-03-12T00:20:00,-3.0\n"
+        )
+        code = main(["detect", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+
     def test_unknown_variable_is_config_error(self, tmp_path):
         data = synth(tmp_path, write_config(tmp_path))
         cfg = write_config(tmp_path, variables=["ph"])  # reuses the same data file
@@ -216,6 +228,60 @@ class TestEvaluateCommand:
         assert row["OP"] == "1.0000" and row["Accuracy"] == "1.0000"
         assert row["FP"] == "0" and row["FN"] == "0"
 
+    def test_one_combo_matches_detect_with_flipped_sides(self, tmp_path):
+        flipped = {"turbidity": "keep_positive", "conductivity": "keep_negative"}
+        cfg_path = write_config(tmp_path, transform={"kind": "one_sided_derivative", "sides": flipped})
+        raw = json.loads(cfg_path.read_text())
+        raw["synth"]["n_points"] = 800
+        cfg_path.write_text(json.dumps(raw))
+        data = synth(tmp_path, cfg_path, seed=4)
+        out = tmp_path / "ev"
+        code = main([
+            "evaluate", "--input", str(data), "--config", str(cfg_path),
+            "--out-dir", str(out), "--reps", "3",
+            "--combo", "turbidity,conductivity:one_sided_derivative:KNN-SUM",
+        ])
+        assert code == EXIT_OK
+        row = read_csv(out / "report.csv")[0]
+        # what detect runs on the same config
+        cfg = load_config(str(cfg_path))
+        ms = ingest_csv(data)
+        cm = confusion(run_detection(ms, _pipeline_config(cfg, ms)).predicted, ground_truth(ms))
+        assert [int(row[c]) for c in ("TN", "FN", "FP", "TP")] == [cm.tn, cm.fn, cm.fp, cm.tp]
+
+    def test_side_for_variable_without_default(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            variables=["turbidity", "ph"],
+            transform={"kind": "one_sided_derivative", "sides": {"ph": "keep_positive"}},
+            synth={
+                "n_points": 400,
+                "gap_minutes": [10, 170],
+                "base": {
+                    "turbidity": {"level": 20.0, "amplitude": 5.0, "period": 400.0, "noise_sd": 0.1},
+                    "ph": {"level": 7.0, "amplitude": 0.5, "period": 500.0, "noise_sd": 0.02},
+                },
+                "faults": [],
+            },
+        )
+        data = synth(tmp_path, cfg)
+        out = tmp_path / "ev"
+        code = main([
+            "evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out),
+            "--reps", "3", "--combo", "turbidity,ph:one_sided_derivative:KNN-SUM",
+        ])
+        assert code == EXIT_OK
+        row = read_csv(out / "report.csv")[0]
+        assert row["TN"] != "NaN"  # an errored combo writes an all-NaN row
+
+    def test_too_few_reps_is_config_error(self, tmp_path):
+        cfg = self.grid_config(tmp_path)
+        data = synth(tmp_path, cfg)
+        out = tmp_path / "ev"
+        code = main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out), "--reps", "2"])
+        assert code == EXIT_CONFIG
+        assert not (out / "report.csv").exists()
+
     def test_unlabeled_input_is_data_error(self, tmp_path):
         cfg = self.grid_config(tmp_path)
         data = tmp_path / "plain.csv"
@@ -230,6 +296,37 @@ class TestEvaluateCommand:
             "--out-dir", str(tmp_path / "o"), "--combo", "turbidity-one_sided-KNN",
         ])
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("detect", "scoring", "k", "ten"),
+        ("detect", "scoring", "k", None),
+        ("detect", "threshold", "alpha", "x"),
+        ("detect", "transform", "sides", {"turbidity": "sideways"}),
+        # Python's json writes and reads the non-standard NaN literal.
+        ("detect", "rules", "max_gap_minutes", float("nan")),
+        ("evaluate", None, "reps", "x"),
+        ("synth", "synth", "n_points", "x"),
+    ],
+    ids=["k-text", "k-null", "alpha-text", "unknown-side", "gap-nan", "reps-text", "n_points-text"],
+)
+def test_bad_config_value_is_config_error(tmp_path, command, section, key, value):
+    cfg_path = write_config(tmp_path)
+    data = synth(tmp_path, cfg_path)
+    raw = json.loads(cfg_path.read_text())
+    node = raw if section is None else raw.setdefault(section, {})
+    node[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    if command == "synth":
+        args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
+    else:
+        args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
 
 
 class TestPlotDataCommand:

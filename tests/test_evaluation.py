@@ -147,6 +147,25 @@ class TestGrid:
         assert len(calls) == 5
         assert report.cm == confusion(calls[0].predicted, ground_truth(labeled_synth))
 
+    def test_too_few_repetitions_refused_before_any_combo(self, labeled_synth, monkeypatch):
+        from driftguard import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "run_detection", lambda ms, pcfg: calls.append(pcfg))
+        with pytest.raises(ConfigError, match="3 repetitions"):
+            grid_evaluate(labeled_synth, self.combos(), repetitions=2)
+        assert calls == []
+
+    def test_sides_reach_every_combo(self, labeled_synth):
+        from driftguard import PipelineConfig, ground_truth, run_detection
+
+        flipped = {"turbidity": "keep_positive", "conductivity": "keep_negative"}
+        combo = self.combos()[0]
+        (report,) = grid_evaluate(labeled_synth, [combo], sides=flipped, repetitions=3)
+        pcfg = PipelineConfig(combo.variables, combo.transform, sides=flipped)
+        expected = run_detection(labeled_synth, pcfg).predicted
+        assert report.cm == confusion(expected, ground_truth(labeled_synth))
+
     def test_duplicate_combos_identical_metrics(self, labeled_synth):
         combo = self.combos()[0]
         reports = grid_evaluate(labeled_synth, [combo, combo], repetitions=3)

@@ -40,6 +40,10 @@ class TestNormalize:
         with pytest.raises(DataError):
             normalize(np.array([[1.0], [np.nan]]))
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(DataError, match="zero points"):
+            normalize(np.empty((0, 2)))
+
 
 class TestKnn:
     def test_1d_distance_sums(self):

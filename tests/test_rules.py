@@ -52,6 +52,12 @@ def test_missing_range_names_variable():
         apply_rules(ms, RuleConfig(ranges={"turbidity": (0, 10)}))
 
 
+@pytest.mark.parametrize("gap", [0.0, -1.0, float("nan")])
+def test_max_gap_must_be_positive(gap):
+    with pytest.raises(ConfigError, match="max_gap_minutes"):
+        RuleConfig(ranges={}, max_gap_minutes=gap)
+
+
 def test_negative_allowed_when_disabled():
     ms = make_multiseries({"level": [-0.5, 1.0]})
     cfg = RuleConfig(ranges={"level": (-np.inf, np.inf)}, forbid_negative={"level": False})

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, normalize, score
-from driftguard.scoring import (
-    knn_agg_weights,
-    score_cof,
-    score_hdoutliers,
-    score_inflo,
-    score_knn_agg,
-    score_knn_sum,
-    score_ldof,
-    score_lof,
-    score_rkof,
-)
+from driftguard.scoring import knn_agg_weights
 
 import reference as ref
 
@@ -25,7 +15,7 @@ def grid10() -> PointCloud:
 
 class TestHDoutliers:
     def test_line4_nn_distances(self):
-        sv = score_hdoutliers(LINE4, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=1e-9))
+        sv = score(LINE4, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=1e-9))
         np.testing.assert_allclose(sv.scores, [1.0, 1.0, 1.0, 8.0])
 
     def test_masking_failure_documented(self, rng):
@@ -33,23 +23,33 @@ class TestHDoutliers:
         cluster = rng.random((50, 2)) * 0.2
         pair = np.array([[5.0, 5.0], [5.001, 5.0]])
         cloud = PointCloud(np.vstack([cluster, pair]))
-        sv = score_hdoutliers(cloud, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=5e-4))
+        sv = score(cloud, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=5e-4))
         assert sv.scores[-1] == pytest.approx(0.001)
         assert sv.scores[-1] < sv.scores[:50].max()
 
     def test_uniform_grid_scores_equal_pitch(self):
-        sv = score_hdoutliers(grid10(), ScoringConfig(method=Method.HDOUTLIERS, leader_radius=1e-9))
+        sv = score(grid10(), ScoringConfig(method=Method.HDOUTLIERS, leader_radius=1e-9))
         np.testing.assert_allclose(sv.scores, np.ones(100))
 
     def test_single_cluster_scores_zero(self, rng):
         cloud = PointCloud(rng.random((20, 2)))
-        sv = score_hdoutliers(cloud, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=100.0))
+        sv = score(cloud, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=100.0))
         np.testing.assert_array_equal(sv.scores, np.zeros(20))
         assert sv.notes
 
-    def test_needs_two_points(self):
-        with pytest.raises(DataError):
-            score_hdoutliers(PointCloud(np.zeros((1, 1))), ScoringConfig())
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_needs_two_points(method):
+    with pytest.raises(DataError):
+        score(PointCloud(np.zeros((1, 1))), ScoringConfig(method=method))
+
+
+@pytest.mark.parametrize(
+    "method", [m for m in Method if m is not Method.HDOUTLIERS], ids=lambda m: m.value
+)
+def test_k_too_large(method):
+    with pytest.raises(DataError, match="k=4 must be smaller than the cloud size n=4"):
+        score(LINE4, ScoringConfig(method=method, k=4))
 
 
 @pytest.mark.parametrize(
@@ -63,24 +63,20 @@ def test_config_rejects_non_positive_and_nan(field, value):
 
 class TestKnnSum:
     def test_line4(self):
-        sv = score_knn_sum(LINE4, ScoringConfig(k=2))
+        sv = score(LINE4, ScoringConfig(method=Method.KNN_SUM, k=2))
         np.testing.assert_allclose(sv.scores, [3.0, 2.0, 3.0, 17.0])
         assert sv.scores.argmax() == 3
 
     def test_coincident_scores_zero(self):
         cloud = PointCloud(np.ones((5, 2)))
-        sv = score_knn_sum(cloud, ScoringConfig(k=2))
+        sv = score(cloud, ScoringConfig(method=Method.KNN_SUM, k=2))
         np.testing.assert_array_equal(sv.scores, np.zeros(5))
 
     def test_k1_equals_nn_distance(self, rng):
         pts = rng.random((30, 2))
-        sv = score_knn_sum(PointCloud(pts), ScoringConfig(k=1))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.KNN_SUM, k=1))
         _, rdist = ref.ref_knn(pts, 1)
         np.testing.assert_allclose(sv.scores, rdist[:, 0])
-
-    def test_k_too_large(self):
-        with pytest.raises(DataError):
-            score_knn_sum(LINE4, ScoringConfig(k=4))
 
 
 class TestKnnAgg:
@@ -89,14 +85,14 @@ class TestKnnAgg:
         assert knn_agg_weights(10).sum() == pytest.approx(1.0)
 
     def test_line4_weighted(self):
-        sv = score_knn_agg(LINE4, ScoringConfig(k=2))
+        sv = score(LINE4, ScoringConfig(method=Method.KNN_AGG, k=2))
         np.testing.assert_allclose(sv.scores, [4 / 3, 1.0, 4 / 3, 25 / 3])
         assert sv.scores.argmax() == 3
 
     def test_k1_ranking_matches_knn_sum(self, rng):
         cloud = PointCloud(rng.random((40, 3)))
-        agg = score_knn_agg(cloud, ScoringConfig(k=1)).scores
-        plain = score_knn_sum(cloud, ScoringConfig(k=1)).scores
+        agg = score(cloud, ScoringConfig(method=Method.KNN_AGG, k=1)).scores
+        plain = score(cloud, ScoringConfig(method=Method.KNN_SUM, k=1)).scores
         np.testing.assert_array_equal(np.argsort(agg), np.argsort(plain))
 
     def test_uniform_weights_reproduce_knn_sum_ranking(self, rng):
@@ -112,116 +108,115 @@ class TestKnnAgg:
 
 class TestLof:
     def test_grid_interior_exactly_one(self):
-        sv = score_lof(grid10(), ScoringConfig(k=10))
+        sv = score(grid10(), ScoringConfig(method=Method.LOF, k=10))
         assert sv.scores[55] == pytest.approx(1.0, abs=1e-9)
 
     def test_far_point_large(self):
         pts = np.vstack([grid10().points, [[40.0, 40.0]]])
-        sv = score_lof(PointCloud(pts), ScoringConfig(k=10))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.LOF, k=10))
         assert sv.scores[-1] == pytest.approx(20.651503, rel=1e-5)
         assert sv.scores[-1] == sv.scores.max()
 
     def test_all_coincident_scores_one(self):
-        sv = score_lof(PointCloud(np.ones((12, 2))), ScoringConfig(k=3))
+        sv = score(PointCloud(np.ones((12, 2))), ScoringConfig(method=Method.LOF, k=3))
         np.testing.assert_allclose(sv.scores, np.ones(12))
 
 
 class TestCof:
     def test_on_line_exactly_one(self):
         line = np.array([[i * 1.0, 0.0] for i in range(20)])
-        sv = score_cof(PointCloud(line), ScoringConfig(k=5))
+        sv = score(PointCloud(line), ScoringConfig(method=Method.COF, k=5))
         assert sv.scores[10] == pytest.approx(1.0, abs=1e-9)
 
     def test_off_line_point_above_one(self):
         line = np.array([[i * 1.0, 0.0] for i in range(20)])
         pts = np.vstack([line, [[10.0, 6.0]]])
-        sv = score_cof(PointCloud(pts), ScoringConfig(k=5))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.COF, k=5))
         assert sv.scores[-1] == pytest.approx(8 / 3, rel=1e-9)
         assert sv.scores[-1] > 1.0
 
     def test_symmetric_cluster_equal_scores(self):
         # square corners: full symmetry
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        sv = score_cof(PointCloud(pts), ScoringConfig(k=2))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.COF, k=2))
         np.testing.assert_allclose(sv.scores, sv.scores[0])
 
     def test_all_coincident_scores_one(self):
-        sv = score_cof(PointCloud(np.zeros((8, 2))), ScoringConfig(k=3))
+        sv = score(PointCloud(np.zeros((8, 2))), ScoringConfig(method=Method.COF, k=3))
         np.testing.assert_allclose(sv.scores, np.ones(8))
 
 
 class TestInflo:
     def test_grid_interior_exactly_one(self):
-        sv = score_inflo(grid10(), ScoringConfig(k=10))
+        sv = score(grid10(), ScoringConfig(method=Method.INFLO, k=10))
         assert sv.scores[55] == pytest.approx(1.0, abs=1e-9)
 
     def test_sparse_point_adjacent_to_dense_cluster_below_lof(self, rng):
         dense = np.random.default_rng(5).normal(0, 0.05, (30, 2))
         sparse = np.array([[1.0 + i * 1.0, 0.0] for i in range(6)])
         cloud = PointCloud(np.vstack([dense, sparse]))
-        cfg = ScoringConfig(k=5)
-        inflo = score_inflo(cloud, cfg).scores[30]
-        lof = score_lof(cloud, cfg).scores[30]
+        inflo = score(cloud, ScoringConfig(method=Method.INFLO, k=5)).scores[30]
+        lof = score(cloud, ScoringConfig(method=Method.LOF, k=5)).scores[30]
         assert inflo < lof
 
     def test_symmetric_far_pair_equal(self):
         # configuration is mirror-symmetric about x = 5.1, swapping the pair
         cluster = np.array([[5.05, 0.0], [5.15, 0.0], [5.05, 0.1], [5.15, 0.1]])
         pair = np.array([[5.0, 5.0], [5.2, 5.0]])
-        sv = score_inflo(PointCloud(np.vstack([cluster, pair])), ScoringConfig(k=2))
+        sv = score(PointCloud(np.vstack([cluster, pair])), ScoringConfig(method=Method.INFLO, k=2))
         assert sv.scores[4] == pytest.approx(sv.scores[5], rel=1e-12)
 
 
 class TestLdof:
     def test_equilateral_triangle_is_one(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        sv = score_ldof(PointCloud(tri), ScoringConfig(k=2))
+        sv = score(PointCloud(tri), ScoringConfig(method=Method.LDOF, k=2))
         np.testing.assert_allclose(sv.scores, np.ones(3), rtol=1e-12)
 
     def test_centroid_below_one(self):
         tri = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.660254037844386]])
         cloud = PointCloud(np.vstack([tri, tri.mean(axis=0)[None, :]]))
-        sv = score_ldof(cloud, ScoringConfig(k=3))
+        sv = score(cloud, ScoringConfig(method=Method.LDOF, k=3))
         assert sv.scores[-1] == pytest.approx(0.577350269190, rel=1e-9)
 
     def test_isolated_point_large(self):
         pts = np.array([[0.0], [0.05], [0.1], [0.15], [5.0]])
-        sv = score_ldof(PointCloud(pts), ScoringConfig(k=3))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.LDOF, k=3))
         assert sv.scores[-1] == pytest.approx(73.5, rel=1e-9)
         assert sv.scores[-1] == sv.scores.max()
 
     def test_coincident_neighborhood_capped(self):
         pts = np.array([[0.0], [0.0], [0.0], [7.0]])
-        sv = score_ldof(PointCloud(pts), ScoringConfig(k=2))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.LDOF, k=2))
         assert np.isfinite(sv.scores).all()
         assert sv.notes  # degeneracy reported
         assert sv.scores[3] == sv.scores.max()
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(DataError):
-            score_ldof(LINE4, ScoringConfig(k=1))
+            score(LINE4, ScoringConfig(method=Method.LDOF, k=1))
 
 
 class TestRkof:
     def test_grid_interior_exactly_one(self):
-        sv = score_rkof(grid10(), ScoringConfig(k=10))
+        sv = score(grid10(), ScoringConfig(method=Method.RKOF, k=10))
         assert sv.scores[55] == pytest.approx(1.0, abs=1e-9)
 
     def test_gross_outlier_much_larger(self):
         pts = np.vstack([grid10().points, [[40.0, 40.0]]])
-        sv = score_rkof(PointCloud(pts), ScoringConfig(k=10))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.RKOF, k=10))
         assert sv.scores[-1] > 100.0
         assert sv.scores[-1] == sv.scores.max()
 
     def test_permutation_equivariance(self, rng):
         pts = rng.random((50, 2))
         perm = rng.permutation(50)
-        a = score_rkof(PointCloud(pts), ScoringConfig(k=10)).scores
-        b = score_rkof(PointCloud(pts[perm]), ScoringConfig(k=10)).scores
+        a = score(PointCloud(pts), ScoringConfig(method=Method.RKOF, k=10)).scores
+        b = score(PointCloud(pts[perm]), ScoringConfig(method=Method.RKOF, k=10)).scores
         np.testing.assert_allclose(b, a[perm], rtol=1e-12)
 
     def test_all_coincident_scores_one(self):
-        sv = score_rkof(PointCloud(np.zeros((6, 3))), ScoringConfig(k=2))
+        sv = score(PointCloud(np.zeros((6, 3))), ScoringConfig(method=Method.RKOF, k=2))
         np.testing.assert_allclose(sv.scores, np.ones(6))
 
 
@@ -266,11 +261,12 @@ class TestSharedProperties:
         pts = rng.random((50, 2))
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        for fn in (score_knn_sum, score_knn_agg):
-            base = fn(PointCloud(pts), ScoringConfig(k=10)).scores
-            shifted = fn(PointCloud(pts + 7.5), ScoringConfig(k=10)).scores
-            rotated = fn(PointCloud(pts @ rot.T), ScoringConfig(k=10)).scores
-            scaled = fn(PointCloud(pts * 3.0), ScoringConfig(k=10)).scores
+        for method in (Method.KNN_SUM, Method.KNN_AGG):
+            cfg = ScoringConfig(method=method, k=10)
+            base = score(PointCloud(pts), cfg).scores
+            shifted = score(PointCloud(pts + 7.5), cfg).scores
+            rotated = score(PointCloud(pts @ rot.T), cfg).scores
+            scaled = score(PointCloud(pts * 3.0), cfg).scores
             np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(rotated, base, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-9)

@@ -241,6 +241,11 @@ class TestBuildMatrix:
         tm = build_matrix(ms, TransformKind.ONE_SIDED_DERIVATIVE, sides={"ph": "keep_negative"})
         assert tm.sides["ph"] is Side.KEEP_NEGATIVE
 
+    def test_unknown_side_tag_is_config_error(self):
+        ms = make_multiseries({"turbidity": [7.0, 7.1]}, gaps_minutes=[10])
+        with pytest.raises(ConfigError, match="sideways"):
+            build_matrix(ms, TransformKind.ONE_SIDED_DERIVATIVE, sides={"turbidity": "sideways"})
+
     def test_provenance_spans(self):
         ms = make_multiseries({"t": [1.0, 2.0, 3.0, 4.0]})
         fd = build_matrix(ms, TransformKind.FIRST_DIFFERENCE, ("t",))

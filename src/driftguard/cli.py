@@ -99,6 +99,10 @@ _FREE_NODES = {
 }
 
 
+# Leaf types a user value must match; numeric leaves go through _num instead.
+_LEAF_KINDS = {list: "a list", bool: "true or false", str: "a string"}
+
+
 def _merge(defaults, user, path=()):
     if path in _FREE_NODES:
         if not isinstance(user, dict):
@@ -117,6 +121,9 @@ def _merge(defaults, user, path=()):
             else copy.deepcopy(defaults[key])
             for key in defaults
         }
+    kind = type(defaults)
+    if kind in _LEAF_KINDS and not isinstance(user, kind):
+        raise ConfigError(f"{'.'.join(path)}: expected {_LEAF_KINDS[kind]}, got {user!r}")
     return copy.deepcopy(user)
 
 
@@ -222,27 +229,48 @@ def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
     )
 
 
+def _fields(node, key: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """``node`` as an object holding every required key and no key outside allowed."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{key}: expected an object, got {node!r}")
+    unknown = set(node) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)} under {key}")
+    missing = [name for name in required if name not in node]
+    if missing:
+        raise ConfigError(f"{key}: missing key(s) {missing}")
+    return node
+
+
+_BASE_KEYS = ("level", "amplitude", "period", "noise_sd")
+_FAULT_KEYS = ("variable", "index", "kind", "magnitude")
+
+
 def _synth_config(cfg: dict) -> SynthConfig:
     s = cfg["synth"]
     base = {}
     for var, spec in s["base"].items():
         key = f"synth.base.{var}"
+        spec = _fields(spec, key, _BASE_KEYS)
         base[var] = BaseSignal(
             level=_num(float, spec.get("level", 0.0), f"{key}.level"),
             amplitude=_num(float, spec.get("amplitude", 0.0), f"{key}.amplitude"),
             period=_num(float, spec.get("period", 500.0), f"{key}.period"),
             noise_sd=_num(float, spec.get("noise_sd", 0.0), f"{key}.noise_sd"),
         )
-    faults = tuple(
-        FaultSpec(
+    faults = []
+    for i, f in enumerate(s["faults"]):
+        key = f"synth.faults[{i}]"
+        f = _fields(f, key, _FAULT_KEYS, required=_FAULT_KEYS)
+        faults.append(FaultSpec(
             variable=f["variable"],
-            index=_num(int, f["index"], f"synth.faults[{i}].index"),
+            index=_num(int, f["index"], f"{key}.index"),
             kind=f["kind"],
-            magnitude=_num(float, f["magnitude"], f"synth.faults[{i}].magnitude"),
-        )
-        for i, f in enumerate(s["faults"])
-    )
+            magnitude=_num(float, f["magnitude"], f"{key}.magnitude"),
+        ))
     gap = s["gap_minutes"]
+    if len(gap) != 2:
+        raise ConfigError(f"synth.gap_minutes: expected [min, max], got {gap!r}")
     long_gap_at = s["long_gap_at"]
     return SynthConfig(
         n_points=_num(int, s["n_points"], "synth.n_points"),
@@ -251,7 +279,7 @@ def _synth_config(cfg: dict) -> SynthConfig:
             _num(int, gap[0], "synth.gap_minutes"),
             _num(int, gap[1], "synth.gap_minutes"),
         ),
-        faults=faults,
+        faults=tuple(faults),
         long_gap_at=None if long_gap_at is None else _num(int, long_gap_at, "synth.long_gap_at"),
         long_gap_minutes=_num(int, s["long_gap_minutes"], "synth.long_gap_minutes"),
         site=s["site"],
@@ -287,6 +315,9 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
             combos.append(Combo(variables, kind, method))
     else:
         grid = cfg["grid"]
+        for vs in grid["variable_sets"]:
+            if not isinstance(vs, list):
+                raise ConfigError(f"grid.variable_sets: expected lists of variables, got {vs!r}")
         var_sets = [tuple(vs) for vs in grid["variable_sets"]] or [ms.variables]
         kinds = [_transform_kind(t) for t in grid["transforms"]]
         methods = [Method.parse(m) for m in grid["methods"]]

@@ -3,6 +3,11 @@
 Optimized precision is accuracy penalized by the normalized imbalance between
 sensitivity and specificity; it is the headline ranking metric. 0/0 ratios are
 reported as NaN rather than coerced.
+
+The grid is evaluated by cloud: combos sharing (variables, transform) share
+one rules -> transform -> normalize build and, if any of them is a kNN
+method, one ``knn`` call. Each combo then runs only the per-method stages of
+``pipeline.detect_on_cloud`` on that shared cloud.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GroundTruthVector, MultiSeries, ground_truth
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DriftguardError
+from .neighbors import NeighborLists, knn
+from .pipeline import PipelineConfig, PreparedCloud, detect_on_cloud, prepare_cloud
 from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
 from .transforms import TransformKind
@@ -152,6 +159,29 @@ def _sort_key(report: EvaluationReport):
     )
 
 
+@dataclass(frozen=True)
+class _Cloud:
+    """One (variables, transform) group's shared build, or the error that stopped it."""
+
+    pcfg: PipelineConfig | None = None
+    prepared: PreparedCloud | None = None
+    nl: NeighborLists | None = None
+    build_ms: float = 0.0  # rules + transform + normalize
+    knn_ms: float = 0.0
+    error: str | None = None
+
+
+def _cloud_key(combo: Combo) -> tuple:
+    return tuple(combo.variables), combo.transform
+
+
+def _map(fn, items: list, workers: int) -> list:
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def grid_evaluate(
     ms: MultiSeries,
     combos: Sequence[Combo],
@@ -166,47 +196,87 @@ def grid_evaluate(
     """Run the full pipeline for every combo and rank reports by OP descending.
 
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
+    Combos sharing (variables, transform) share one cloud: rules ->
+    transform -> normalize run once for them, and ``knn`` once if any of
+    them is a kNN method. Every report counts the same predictions as
+    ``run_detection`` would for its combo.
+
+    Timing: each combo's per-method stages (score -> threshold ->
+    attribution -> combine) run once untimed, which supplies the confusion
+    matrix, then ``repetitions`` times timed. ``min_t/mu_t/max_t`` are
+    those samples plus the group's one-off build, measured once: rules +
+    transform + normalize, plus ``knn`` for the kNN methods. So each still
+    reads as the chain from the raw series.
+
     Per-combo failures are captured in the report rather than aborting the
     grid; too few repetitions is refused before any combo runs. NaN-OP and
     failed rows sink to the bottom; ties order lexicographically by
     (variables, transformation, method).
     """
-    from . import pipeline  # local import: pipeline depends on this module's types
-
     _check_repetitions(repetitions)
     truth = ground_truth(ms)
+    workers = max_workers or thread_cap() or min(4, len(combos)) or 1
+    knn_keys = {_cloud_key(c) for c in combos if c.method is not Method.HDOUTLIERS}
 
-    def run_one(combo: Combo) -> EvaluationReport:
+    def build(key) -> _Cloud:
+        variables, transform = key
         try:
-            pcfg = pipeline.PipelineConfig(
-                variables=combo.variables,
-                transform=combo.transform,
-                scoring=replace(scoring_base, method=combo.method),
+            pcfg = PipelineConfig(
+                variables=variables,
+                transform=transform,
+                scoring=scoring_base,
                 threshold=threshold_cfg,
                 rules=rule_cfg,
                 sides=sides,
             )
+            start = time.perf_counter()
+            prepared = prepare_cloud(ms, pcfg)
+            build_ms = (time.perf_counter() - start) * 1000.0
+        except Exception as exc:  # every combo of the group reports it
+            return _Cloud(error=str(exc))
+        nl, knn_ms = None, 0.0
+        if key in knn_keys:
+            start = time.perf_counter()
+            try:
+                nl = knn(prepared.cloud, scoring_base.k)
+            except DriftguardError:
+                pass  # each kNN combo's own score() call then fails as run_detection does
+            knn_ms = (time.perf_counter() - start) * 1000.0
+        return _Cloud(pcfg, prepared, nl, build_ms, knn_ms)
+
+    # Every cloud is built before any combo runs. The pool's unit is then the
+    # combo, in the caller's order: with the cloud as the unit, workers would
+    # run the memory-heavy COF and LDOF scorers on two clouds at once.
+    keys = list(dict.fromkeys(_cloud_key(c) for c in combos))
+    clouds = dict(zip(keys, _map(build, keys, workers)))
+
+    def run_one(combo: Combo) -> EvaluationReport:
+        group = clouds[_cloud_key(combo)]
+        if group.error is not None:
+            return EvaluationReport(combo, None, None, None, error=group.error)
+        try:
+            pcfg = replace(group.pcfg, scoring=replace(scoring_base, method=combo.method))
             first = []
 
             def run():
-                result = pipeline.run_detection(ms, pcfg)
+                result = detect_on_cloud(ms, group.prepared, pcfg, group.nl)
                 if not first:
                     first.append(result)
 
             # benchmark's untimed warm-up run supplies the confusion matrix.
-            timing = benchmark(run, repetitions)
+            stages = benchmark(run, repetitions)
+            one_off = group.build_ms
+            if combo.method is not Method.HDOUTLIERS:
+                one_off += group.knn_ms
+            timing = TimingStats(
+                stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off
+            )
             cm = confusion(first[0].predicted, truth)
             return EvaluationReport(combo, cm, metrics(cm), timing)
         except Exception as exc:  # per-combo isolation
             return EvaluationReport(combo, None, None, None, error=str(exc))
 
-    workers = max_workers or thread_cap() or min(4, len(combos)) or 1
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, combos))
-    else:
-        reports = [run_one(c) for c in combos]
-    return sorted(reports, key=_sort_key)
+    return sorted(_map(run_one, list(combos), workers), key=_sort_key)
 
 
 def thread_cap() -> int | None:

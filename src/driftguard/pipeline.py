@@ -1,4 +1,12 @@
-"""One-combo orchestration: rules -> transform -> score -> threshold -> attribution."""
+"""One-combo orchestration: rules -> transform -> score -> threshold -> attribution.
+
+The chain has two halves. ``prepare_cloud`` builds what depends only on the
+variables, the transform and the rules: rule flags, the transformed matrix
+and its normalized cloud. ``detect_on_cloud`` runs the per-method stages on
+that: score -> EVT threshold -> attribution -> combined prediction.
+``run_detection`` is their composition; the evaluation grid builds each
+cloud once and runs every method of the grid on it.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ import numpy as np
 from .attribution import Detection, attribute_detections
 from .core import MultiSeries
 from .errors import ConfigError
-from .neighbors import normalize
+from .neighbors import NeighborLists, PointCloud, normalize
 from .rules import MISSING_GAP, NEGATIVE, OUT_OF_RANGE, RuleConfig, RuleFlags, apply_rules
 from .scoring import ScoreVector, ScoringConfig, score
 from .threshold import ThresholdConfig, ThresholdTrace, combine_flags, evt_flag
@@ -60,16 +68,37 @@ def _rule_detections(flags: RuleFlags) -> list[Detection]:
     ]
 
 
-def run_detection(ms: MultiSeries, cfg: PipelineConfig) -> DetectionResult:
-    """Run the whole detection chain for one combo on one site's series."""
+@dataclass(frozen=True)
+class PreparedCloud:
+    """The cloud-building half's output, shared by every method on it."""
+
+    rule_flags: RuleFlags | None
+    matrix: TransformedMatrix
+    cloud: PointCloud
+
+
+def prepare_cloud(ms: MultiSeries, cfg: PipelineConfig) -> PreparedCloud:
+    """Rules -> transform -> normalize; ``cfg.scoring`` and ``cfg.threshold`` are not read."""
     rule_flags = None
     cleaned = ms
     if cfg.rules is not None:
         rule_flags, cleaned = apply_rules(ms, cfg.rules)
-
     tm = build_matrix(cleaned, cfg.transform, cfg.variables, cfg.sides)
-    cloud = normalize(tm.points)
-    sv = score(cloud, cfg.scoring)
+    return PreparedCloud(rule_flags, tm, normalize(tm.points))
+
+
+def detect_on_cloud(
+    ms: MultiSeries,
+    prepared: PreparedCloud,
+    cfg: PipelineConfig,
+    nl: NeighborLists | None = None,
+) -> DetectionResult:
+    """Score -> EVT threshold -> attribution -> combined prediction on a prepared cloud.
+
+    ``nl`` is the cloud's ``knn(cloud, cfg.scoring.k)``, if already built; see ``score``.
+    """
+    rule_flags, tm = prepared.rule_flags, prepared.matrix
+    sv = score(prepared.cloud, cfg.scoring, nl)
     row_flags, trace = evt_flag(sv, cfg.threshold)
 
     detections = attribute_detections(tm, ms, row_flags, sv.scores)
@@ -89,3 +118,8 @@ def run_detection(ms: MultiSeries, cfg: PipelineConfig) -> DetectionResult:
         trace=trace,
         predicted=predicted,
     )
+
+
+def run_detection(ms: MultiSeries, cfg: PipelineConfig) -> DetectionResult:
+    """Run the whole detection chain for one combo on one site's series."""
+    return detect_on_cloud(ms, prepare_cloud(ms, cfg), cfg)

@@ -5,7 +5,8 @@ plain kNN distance sums, relative kNN distance) and four are density based
 (reachability, chaining, reverse-neighborhood, and kernel density factors).
 All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and, for the seven kNN scorers, builds the neighbor lists
-with one ``knn`` call; those scorers are formulas over the lists.
+with one ``knn`` call unless the caller passes them in; those scorers are
+formulas over the lists.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class Method(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Method":
+        if not isinstance(text, str):
+            raise ConfigError(f"unknown scoring method {text!r}")
         norm = text.strip().replace("-", "_").upper()
         for member in cls:
             if member.name == norm:
@@ -287,14 +290,25 @@ _KNN_SCORERS = {
 }
 
 
-def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
+def score(
+    cloud: PointCloud, cfg: ScoringConfig, nl: NeighborLists | None = None
+) -> ScoreVector:
     """Run the configured scorer on a (normalized) point cloud.
 
-    Checks the cloud once; the kNN scorers share one ``knn`` call, which
-    refuses k >= n.
+    Checks the cloud once. The kNN scorers use ``nl``, the cloud's
+    ``knn(cloud, cfg.k)`` lists when a caller has built them already, and
+    otherwise share one ``knn`` call, which refuses k >= n. HDoutliers
+    ignores ``nl``.
     """
     if len(cloud) < 2:
         raise DataError("scoring needs at least 2 points")
     if cfg.method is Method.HDOUTLIERS:
         return score_hdoutliers(cloud, cfg)
-    return _KNN_SCORERS[cfg.method](cloud, knn(cloud, cfg.k), cfg)
+    if nl is None:
+        nl = knn(cloud, cfg.k)
+    elif nl.indices.shape != (len(cloud), cfg.k):
+        raise ValueError(
+            f"neighbor lists of shape {nl.indices.shape} do not fit "
+            f"{len(cloud)} points at k={cfg.k}"
+        )
+    return _KNN_SCORERS[cfg.method](cloud, nl, cfg)

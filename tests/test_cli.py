@@ -329,6 +329,41 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("detect", {"scoring": {"method": 5}}, "scoring.method"),
+        ("detect", {"rules": {"forbid_negative": "yes"}}, "rules.forbid_negative"),
+        ("synth", {"synth": {"gap_minutes": 10}}, "synth.gap_minutes"),
+        ("synth", {"synth": {"base": {"turbidity": 5}}}, "synth.base.turbidity"),
+        ("synth", {"synth": {"faults": [{"variable": "turbidity", "kind": "spike", "magnitude": 5}]}},
+         "synth.faults[0]: missing key(s) ['index']"),
+        ("detect", {"variables": "turbidity"}, "variables: expected a list"),
+        ("synth", {"synth": {"gap_minutes": [10]}}, "synth.gap_minutes"),
+        ("synth", {"synth": {"base": {"turbidity": {"levle": 3}}}}, "synth.base.turbidity"),
+        ("evaluate", {"grid": {"methods": [5]}}, "unknown scoring method 5"),
+        ("evaluate", {"grid": {"variable_sets": ["turbidity"]}}, "grid.variable_sets"),
+    ],
+    ids=[
+        "method-number", "forbid_negative-text", "gap-number", "base-number", "fault-without-index",
+        "variables-text", "gap-one-value", "base-unknown-key", "grid-method-number", "variable-set-text",
+    ],
+)
+def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, named):
+    data = synth(tmp_path, write_config(tmp_path))
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "o"
+    if command == "synth":
+        args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
+    else:
+        args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert named in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
+
+
 class TestPlotDataCommand:
     def test_all_figures(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from driftguard import (
     ConfusionMatrix,
     DataError,
     Method,
+    ScoringConfig,
     TransformKind,
     benchmark,
     confusion,
@@ -129,29 +131,109 @@ class TestGrid:
         reports = grid_evaluate(labeled_synth, [good, bad], repetitions=3)
         assert not any(r.error for r in reports)
 
-    def test_warm_up_run_gives_the_confusion_matrix(self, labeled_synth, monkeypatch):
-        # one untimed run plus the timed repetitions per combo, and the report
-        # counts the first run's predictions
-        from driftguard import ground_truth, pipeline, run_detection
+    def paper_grid(self):
+        # two variable sets x three transforms x eight methods: six clouds
+        var_sets = [("turbidity", "conductivity"), ("turbidity",)]
+        kinds = [
+            TransformKind.ONE_SIDED_DERIVATIVE,
+            TransformKind.FIRST_DERIVATIVE,
+            TransformKind.ORIGINAL,
+        ]
+        return [Combo(vs, kind, method) for vs in var_sets for kind in kinds for method in Method]
 
-        calls = []
+    def test_every_report_counts_run_detections_predictions(self, labeled_synth):
+        from driftguard import PipelineConfig, ground_truth, run_detection
 
-        def counted(ms, pcfg):
-            result = run_detection(ms, pcfg)
-            calls.append(result)
-            return result
+        truth = ground_truth(labeled_synth)
+        reports = grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3)
+        assert len(reports) == 48
+        for report in reports:
+            c = report.combo
+            pcfg = PipelineConfig(c.variables, c.transform, scoring=ScoringConfig(method=c.method))
+            assert report.cm == confusion(run_detection(labeled_synth, pcfg).predicted, truth), c
 
-        monkeypatch.setattr(pipeline, "run_detection", counted)
-        combo = self.combos()[0]
-        (report,) = grid_evaluate(labeled_synth, [combo], repetitions=4, max_workers=1)
-        assert len(calls) == 5
-        assert report.cm == confusion(calls[0].predicted, ground_truth(labeled_synth))
+    def test_knn_runs_once_per_cloud(self, labeled_synth, monkeypatch):
+        from driftguard import PipelineConfig, evaluation, neighbors, pipeline, scoring
+
+        sizes = []
+
+        def counted(cloud, k):
+            sizes.append(len(cloud))
+            return neighbors.knn(cloud, k)
+
+        for module in (evaluation, scoring):
+            monkeypatch.setattr(module, "knn", counted)
+        combos = self.paper_grid()
+        full = {
+            len(pipeline.prepare_cloud(labeled_synth, PipelineConfig(c.variables, c.transform)).cloud)
+            for c in combos
+        }
+        grid_evaluate(labeled_synth, combos, repetitions=3)
+        # HDoutliers' exemplar queries run on far fewer points than a full cloud
+        assert sum(n in full for n in sizes) == 6
+
+    def test_knn_combos_time_the_clouds_knn(self, labeled_synth, monkeypatch):
+        # min_t/mu_t/max_t add the group's one knn to its kNN methods only
+        from driftguard import evaluation, neighbors
+
+        def slow_knn(cloud, k):
+            time.sleep(0.2)
+            return neighbors.knn(cloud, k)
+
+        monkeypatch.setattr(evaluation, "knn", slow_knn)
+        variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
+        combos = [Combo(variables, kind, m) for m in (Method.KNN_SUM, Method.HDOUTLIERS)]
+        by_method = {
+            r.combo.method: r.timing
+            for r in grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=1)
+        }
+        assert by_method[Method.KNN_SUM].min_t >= 200.0
+        assert by_method[Method.HDOUTLIERS].max_t < 200.0
+
+    def _errors(self, ms, combos, **kwargs):
+        return {r.combo.method: r.error for r in grid_evaluate(ms, combos, repetitions=3, **kwargs)}
+
+    def _run_detection_error(self, ms, combo, scoring=ScoringConfig()):
+        from driftguard import PipelineConfig, run_detection
+
+        pcfg = PipelineConfig(combo.variables, combo.transform, scoring=replace(scoring, method=combo.method))
+        with pytest.raises(DataError) as info:
+            run_detection(ms, pcfg)
+        return str(info.value)
+
+    def test_k_too_large_fails_the_clouds_knn_combos_only(self, labeled_synth):
+        scoring = ScoringConfig(k=10_000)
+        combos = [Combo(("turbidity",), TransformKind.ORIGINAL, m) for m in Method]
+        errors = self._errors(labeled_synth, combos, scoring_base=scoring)
+        assert errors.pop(Method.HDOUTLIERS) is None
+        for combo in combos[1:]:
+            assert errors[combo.method] == self._run_detection_error(labeled_synth, combo, scoring)
+            assert "must be smaller than the cloud size" in errors[combo.method]
+
+    def test_ldof_with_k_1_fails_alone(self, labeled_synth):
+        combos = [Combo(("turbidity",), TransformKind.ORIGINAL, m) for m in Method]
+        errors = self._errors(labeled_synth, combos, scoring_base=ScoringConfig(k=1))
+        assert errors.pop(Method.LDOF) == "this factor needs k >= 2"
+        assert set(errors.values()) == {None}
+
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    def test_cloud_of_fewer_than_two_rows_fails_every_combo(self, n_rows):
+        # first differences leave n_rows - 1 rows: 0 fails in normalize, 1 in score
+        from conftest import make_multiseries
+
+        ms = make_multiseries({"turbidity": [1.0, 3.0][:n_rows]}, labels_by_var={"turbidity": [0, 1][:n_rows]})
+        combos = [Combo(("turbidity",), TransformKind.FIRST_DERIVATIVE, m) for m in Method]
+        errors = self._errors(ms, combos)
+        expected = {self._run_detection_error(ms, c) for c in combos}
+        assert len(expected) == 1
+        assert set(errors.values()) == expected
 
     def test_too_few_repetitions_refused_before_any_combo(self, labeled_synth, monkeypatch):
-        from driftguard import pipeline
+        from driftguard import evaluation
 
         calls = []
-        monkeypatch.setattr(pipeline, "run_detection", lambda ms, pcfg: calls.append(pcfg))
+        for name in ("prepare_cloud", "detect_on_cloud"):
+            monkeypatch.setattr(evaluation, name, lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match="3 repetitions"):
             grid_evaluate(labeled_synth, self.combos(), repetitions=2)
         assert calls == []
@@ -174,12 +256,15 @@ class TestGrid:
         assert a.metric_set == b.metric_set
 
     def test_results_independent_of_worker_count(self, labeled_synth):
-        serial = grid_evaluate(labeled_synth, self.combos(), repetitions=3, max_workers=1)
-        threaded = grid_evaluate(labeled_synth, self.combos(), repetitions=3, max_workers=4)
+        combos = self.paper_grid()
+        serial = grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=1)
+        threaded = grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=4)
+        assert len(serial) == len(threaded) == 48
         for a, b in zip(serial, threaded):
             assert a.combo == b.combo
             assert a.cm == b.cm
             assert a.metric_set == b.metric_set
+            assert a.error == b.error
 
     def test_thread_cap_env(self, monkeypatch):
         from driftguard.evaluation import thread_cap
@@ -224,17 +309,7 @@ class TestGrid:
             grid_evaluate(ms, self.combos(), repetitions=3)
 
     def test_full_48_combo_grid_emits_48_rows(self, labeled_synth, tmp_path):
-        # two variable sets x three transforms x eight methods
-        var_sets = [("turbidity", "conductivity"), ("turbidity",)]
-        kinds = [
-            TransformKind.ONE_SIDED_DERIVATIVE,
-            TransformKind.FIRST_DERIVATIVE,
-            TransformKind.ORIGINAL,
-        ]
-        combos = [
-            Combo(vs, kind, method)
-            for vs in var_sets for kind in kinds for method in Method
-        ]
+        combos = self.paper_grid()
         assert len(combos) == 48
         reports = grid_evaluate(labeled_synth, combos, repetitions=3)
         assert len(reports) == 48

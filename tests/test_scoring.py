@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, normalize, score
+from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
 from driftguard.scoring import knn_agg_weights
 
 import reference as ref
@@ -50,6 +50,20 @@ def test_needs_two_points(method):
 def test_k_too_large(method):
     with pytest.raises(DataError, match="k=4 must be smaller than the cloud size n=4"):
         score(LINE4, ScoringConfig(method=method, k=4))
+
+
+@pytest.mark.parametrize(
+    "method", [m for m in Method if m is not Method.HDOUTLIERS], ids=lambda m: m.value
+)
+def test_given_neighbor_lists_are_used_and_must_fit(method, rng):
+    cloud = normalize(rng.normal(size=(60, 2)))
+    cfg = ScoringConfig(method=method, k=4)
+    own = score(cloud, cfg)
+    given = score(cloud, cfg, knn(cloud, 4))
+    np.testing.assert_array_equal(given.scores, own.scores)
+    assert given.notes == own.notes
+    with pytest.raises(ValueError, match="do not fit"):
+        score(cloud, cfg, knn(cloud, 5))
 
 
 @pytest.mark.parametrize(

@@ -47,14 +47,7 @@ from .transforms import (
     build_matrix,
     transform_column,
 )
-from .attribution import (
-    Detection,
-    attribute_detections,
-    classify_direction,
-    correct_neighbor,
-    influential_variable,
-    write_detections_csv,
-)
+from .attribution import Detection, attribute_detections, write_detections_csv
 
 __all__ = [
     "__version__",
@@ -70,6 +63,5 @@ __all__ = [
     "Method", "ScoreVector", "ScoringConfig", "score",
     "ThresholdConfig", "ThresholdTrace", "combine_flags", "evt_flag",
     "Side", "TransformKind", "TransformedMatrix", "build_matrix", "transform_column",
-    "Detection", "attribute_detections", "classify_direction", "correct_neighbor",
-    "influential_variable", "write_detections_csv",
+    "Detection", "attribute_detections", "write_detections_csv",
 ]

@@ -1,8 +1,15 @@
 """Post-detection analysis: responsible variable, direction, neighbor correction.
 
-Differencing transforms smear a fault across two consecutive rows, so a flag
-can land on the innocent neighbor; the correction step moves it to whichever
-provenance timestamp deviates most from its own local surroundings.
+Every flagged cloud row is attributed in one pass over whole columns:
+
+- The variable is the one with the largest robustly scaled deviation from
+  the median of the unflagged rows. Near-ties break by variable order and
+  are noted; a row with no deviation is "indeterminate".
+- Differencing transforms smear a fault across two consecutive readings, so
+  a flag can land on the innocent neighbor. The correction moves it to
+  whichever of the two deviates more from the mean of its own neighbors.
+- The direction compares the (corrected) reading with the mean of it and
+  its two neighbors.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MultiSeries, SensorSeries
+from .core import MultiSeries
 from .transforms import DIFFERENCING_KINDS, TransformedMatrix
 
 MAD_EPS = 1e-9
@@ -50,79 +57,18 @@ def typical_center(typical_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return med, np.where(mad > 0, mad, abs_dev.mean(axis=0))
 
 
-def _rank_deviation(point, med, scale, variables) -> tuple[str, str]:
-    dev = np.abs(np.asarray(point) - med) / (scale + MAD_EPS)
-    if not dev.any():
-        return INDETERMINATE, "no deviation from typical median"
-    j = int(np.argmax(dev))
-    others = np.delete(dev, j)
-    note = ""
-    if others.size and others.max() >= dev[j] * (1.0 - 1e-9):
-        note = "near-tie across variables; broken by variable order"
-    return variables[j], note
+def _trios(values: np.ndarray, at: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """(len(at), 3) readings at at-1, at, at+1 of column ``col``; NaN off either end."""
+    idx = at[:, None] + np.arange(-1, 2)
+    inside = (idx >= 0) & (idx < len(values))
+    return np.where(inside, values[np.clip(idx, 0, len(values) - 1), col[:, None]], np.nan)
 
 
-def influential_variable(
-    point: np.ndarray,
-    typical_points: np.ndarray,
-    variables: tuple[str, ...],
-) -> tuple[str, str]:
-    """Variable with the largest robustly scaled deviation from the typical median.
-
-    Returns (variable, note); ties break by variable order and are noted,
-    an all-zero deviation reports "indeterminate".
-    """
-    med, scale = typical_center(typical_points)
-    return _rank_deviation(point, med, scale, variables)
-
-
-def classify_direction(series: SensorSeries, index: int) -> tuple[str, str]:
-    """Spike or drop, judged against the mean of the point and its two neighbors."""
-    v = series.values
-    if index <= 0 or index >= len(v) - 1:
-        return SHIFT, "boundary point: no two-sided neighborhood"
-    window = v[index - 1 : index + 2]
-    if not np.isfinite(window).all():
-        return SHIFT, "missing neighbor value"
-    m = window.mean()
-    if v[index] > m:
-        return SPIKE, ""
-    if v[index] < m:
-        return DROP, ""
-    return SHIFT, "point equals its local mean"
-
-
-def _local_deviation(values: np.ndarray, index: int) -> float:
-    """|y - mean of the two temporal neighbors|; -inf when not computable."""
-    if index <= 0 or index >= len(values) - 1:
-        return -math.inf
-    trio = values[index - 1 : index + 2]
-    if not np.isfinite(trio).all():
-        return -math.inf
-    return abs(trio[1] - 0.5 * (trio[0] + trio[2]))
-
-
-def correct_neighbor(
-    flagged_index: int,
-    series: SensorSeries,
-    provenance: tuple[int, ...],
-) -> tuple[int, str]:
-    """Move a detection to the provenance index that deviates most locally.
-
-    Only meaningful for differencing-based transforms whose provenance spans
-    two timestamps; ties (a clean level shift) keep the original index.
-    """
-    candidates = [c for c in provenance if 0 <= c < len(series)]
-    if len(candidates) < 2:
-        return flagged_index, ""
-    devs = [_local_deviation(series.values, c) for c in candidates]
-    best = max(devs)
-    if best == -math.inf:
-        return flagged_index, "no candidate has a two-sided neighborhood"
-    winners = [c for c, d in zip(candidates, devs) if d == best]
-    if len(winners) > 1:
-        return flagged_index, "equal candidate deviations; kept original index"
-    return winners[0], ""
+def _local_deviation(trio: np.ndarray) -> np.ndarray:
+    """|middle - mean of its two neighbors| per trio; -inf where one is missing."""
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(trio[:, 1] - 0.5 * (trio[:, 0] + trio[:, 2]))
+    return np.where(np.isfinite(trio).all(axis=1), dev, -np.inf)
 
 
 def attribute_detections(
@@ -136,42 +82,65 @@ def attribute_detections(
     evt_flags/scores align with the matrix's cloud rows; the typical median
     is taken over the rows the threshold left unflagged.
     """
-    flagged_rows = np.nonzero(evt_flags)[0]
-    if flagged_rows.size == 0:
+    flagged = np.nonzero(evt_flags)[0]
+    if flagged.size == 0:
         return []
-    points = tm.points
-    typical = points[~evt_flags]
-    if len(typical) == 0:
-        typical = points
-    med, scale = typical_center(typical)
-    correct = tm.kind in DIFFERENCING_KINDS
+    typical = tm.points[~evt_flags]
+    med, scale = typical_center(typical if len(typical) else tm.points)
+    dev = np.abs(tm.points[flagged] - med) / (scale + MAD_EPS)
+    col = np.argmax(dev, axis=1)  # ties break by variable order
+    known = dev.any(axis=1)
+    tie = (dev >= dev.max(axis=1)[:, None] * (1.0 - 1e-9)).sum(axis=1) > 1
+    var_note = np.select(
+        [~known, tie],
+        ["no deviation from typical median", "near-tie across variables; broken by variable order"],
+        "",
+    )
 
-    detections = []
-    series_cache = {var: ms.get(var) for var in tm.variables}
-    for row in flagged_rows:
-        var, var_note = _rank_deviation(points[row], med, scale, tm.variables)
-        orig_idx = int(tm.row_index[row])
-        idx = orig_idx
-        corr_note = ""
-        if var != INDETERMINATE and correct:
-            idx, corr_note = correct_neighbor(orig_idx, series_cache[var], tm.provenance(row))
-        if var != INDETERMINATE:
-            direction, dir_note = classify_direction(series_cache[var], idx)
-        else:
-            direction, dir_note = INDETERMINATE, ""
-        note = "; ".join(x for x in (var_note, corr_note, dir_note) if x)
-        detections.append(
-            Detection(
-                timestamp=int(ms.timestamps[idx]),
-                variable=var,
-                direction=direction,
-                score=float(scores[row]),
-                trigger="evt",
-                corrected_from=int(ms.timestamps[orig_idx]) if idx != orig_idx else None,
-                note=note,
-            )
+    values = np.column_stack([ms.get(var).values for var in tm.variables])
+    at = tm.row_index[flagged]
+    trio = _trios(values, at, col)
+    moved = np.zeros(len(flagged), dtype=bool)
+    corr_note = np.full(len(flagged), "")
+    if tm.kind in DIFFERENCING_KINDS:
+        # every differencing cell needs a predecessor, so at - 1 >= 0
+        before = _trios(values, at - 1, col)
+        dev_before, dev_at = _local_deviation(before), _local_deviation(trio)
+        moved = known & (dev_before > dev_at)
+        trio = np.where(moved[:, None], before, trio)
+        corr_note = np.select(
+            [~known, np.maximum(dev_before, dev_at) == -np.inf, dev_before == dev_at],
+            ["", "no candidate has a two-sided neighborhood",
+             "equal candidate deviations; kept original index"],
+            "",
         )
-    return detections
+    idx = np.where(moved, at - 1, at)
+
+    complete = np.isfinite(trio).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        mean = trio.mean(axis=1)
+    direction = np.select(
+        [~known, ~complete, trio[:, 1] > mean, trio[:, 1] < mean],
+        [INDETERMINATE, SHIFT, SPIKE, DROP],
+        SHIFT,
+    )
+    dir_note = np.select(
+        [~known, (idx <= 0) | (idx >= len(values) - 1), ~complete, direction == SHIFT],
+        ["", "boundary point: no two-sided neighborhood", "missing neighbor value",
+         "point equals its local mean"],
+        "",
+    )
+    variable = np.where(known, np.asarray(tm.variables)[col], INDETERMINATE)
+
+    ts = ms.timestamps
+    return [
+        Detection(t, var, d, s, "evt", orig if m else None, "; ".join(filter(None, notes)))
+        for t, var, d, s, orig, m, *notes in zip(
+            ts[idx].tolist(), variable.tolist(), direction.tolist(), scores[flagged].tolist(),
+            ts[at].tolist(), moved.tolist(),
+            var_note.tolist(), corr_note.tolist(), dir_note.tolist(),
+        )
+    ]
 
 
 def write_detections_csv(detections, path) -> None:

@@ -90,13 +90,12 @@ DEFAULT_CONFIG = {
     "reps": 3,
 }
 
+# Config nodes keyed by input variable name; ``_ingest`` checks each key.
+_VARIABLE_NODES = (("rules", "ranges"), ("transform", "sides"))
+
 # Config nodes whose keys are data-dependent (variable names), not fixed.
 # A user-supplied node replaces the default wholesale.
-_FREE_NODES = {
-    ("transform", "sides"),
-    ("rules", "ranges"),
-    ("synth", "base"),
-}
+_FREE_NODES = {*_VARIABLE_NODES, ("synth", "base")}
 
 
 # Leaf types a user value must match; numeric leaves go through _num instead.
@@ -146,11 +145,20 @@ def load_config(path: str | None) -> dict:
 
 
 def _num(kind: type, value, key: str):
-    """``kind(value)`` for int or float; a value it refuses is a ConfigError naming key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+    """A JSON number as int or float; anything else is a ConfigError naming key.
+
+    true/false and numeric strings are refused, and an int key refuses a
+    fractional (or non-finite) value instead of truncating it.
+    """
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and kind is int and isinstance(value, float):
+        ok = value.is_integer()
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _bound(x, default: float, key: str) -> float:
@@ -207,6 +215,18 @@ def _transform_kind(text: str) -> TransformKind:
         return TransformKind(text)
     except ValueError:
         raise ConfigError(f"unknown transform kind {text!r}") from None
+
+
+def _ingest(args, cfg: dict) -> MultiSeries:
+    """Read ``--input``; a variable-keyed config entry naming no input variable is a ConfigError."""
+    ms = ingest_csv(args.input, site=cfg["site"])
+    for section, node in _VARIABLE_NODES:
+        for var in cfg[section][node]:
+            if var not in ms.variables:
+                raise ConfigError(
+                    f"{section}.{node}.{var}: no such variable in input (has {list(ms.variables)})"
+                )
+    return ms
 
 
 def _variables(cfg: dict, ms: MultiSeries) -> tuple[str, ...]:
@@ -350,7 +370,7 @@ def cmd_synth(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = load_config(args.config)
-    ms = ingest_csv(args.input, site=cfg["site"])
+    ms = _ingest(args, cfg)
     pcfg = _pipeline_config(cfg, ms)
     result = run_detection(ms, pcfg)
 
@@ -372,7 +392,7 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    ms = ingest_csv(args.input, site=cfg["site"] or "")
+    ms = _ingest(args, cfg)
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
     combos = _combos(cfg, ms, args.combo)
@@ -482,7 +502,7 @@ def cmd_plotdata(args) -> int:
     import csv as _csv
 
     cfg = load_config(args.config)
-    ms = ingest_csv(args.input, site=cfg["site"] or "")
+    ms = _ingest(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{args.figure}.csv"

@@ -173,3 +173,111 @@ def ref_hdoutliers(pts: np.ndarray, radius: float) -> np.ndarray:
     np.fill_diagonal(dm, np.inf)
     ex_scores = dm.min(axis=1)
     return ex_scores[assignment]
+
+
+# ---------------------------------------------------------------------------
+# Per-row attribution: one flagged row at a time, each helper slicing its own
+# window. The library attributes every flagged row at once on whole columns.
+# ---------------------------------------------------------------------------
+
+_REF_MAD_EPS = 1e-9
+
+
+def _ref_typical_center(typical_points):
+    med = np.median(typical_points, axis=0)
+    abs_dev = np.abs(typical_points - med)
+    mad = np.median(abs_dev, axis=0)
+    return med, np.where(mad > 0, mad, abs_dev.mean(axis=0))
+
+
+def _ref_rank_deviation(point, med, scale, variables):
+    dev = np.abs(np.asarray(point) - med) / (scale + _REF_MAD_EPS)
+    if not dev.any():
+        return "indeterminate", "no deviation from typical median"
+    j = int(np.argmax(dev))
+    others = np.delete(dev, j)
+    note = ""
+    if others.size and others.max() >= dev[j] * (1.0 - 1e-9):
+        note = "near-tie across variables; broken by variable order"
+    return variables[j], note
+
+
+def _ref_classify_direction(series, index):
+    v = series.values
+    if index <= 0 or index >= len(v) - 1:
+        return "shift", "boundary point: no two-sided neighborhood"
+    window = v[index - 1 : index + 2]
+    if not np.isfinite(window).all():
+        return "shift", "missing neighbor value"
+    m = window.mean()
+    if v[index] > m:
+        return "spike", ""
+    if v[index] < m:
+        return "drop", ""
+    return "shift", "point equals its local mean"
+
+
+def _ref_local_deviation(values, index):
+    if index <= 0 or index >= len(values) - 1:
+        return -math.inf
+    trio = values[index - 1 : index + 2]
+    if not np.isfinite(trio).all():
+        return -math.inf
+    return abs(trio[1] - 0.5 * (trio[0] + trio[2]))
+
+
+def _ref_correct_neighbor(flagged_index, series, provenance):
+    candidates = [c for c in provenance if 0 <= c < len(series)]
+    if len(candidates) < 2:
+        return flagged_index, ""
+    devs = [_ref_local_deviation(series.values, c) for c in candidates]
+    best = max(devs)
+    if best == -math.inf:
+        return flagged_index, "no candidate has a two-sided neighborhood"
+    winners = [c for c, d in zip(candidates, devs) if d == best]
+    if len(winners) > 1:
+        return flagged_index, "equal candidate deviations; kept original index"
+    return winners[0], ""
+
+
+def ref_attribute_detections(tm, ms, evt_flags, scores):
+    """Per-row attribution of the flagged cloud rows, as a list of Detection."""
+    from driftguard.attribution import Detection
+    from driftguard.transforms import DIFFERENCING_KINDS
+
+    flagged_rows = np.nonzero(evt_flags)[0]
+    if flagged_rows.size == 0:
+        return []
+    points = tm.points
+    typical = points[~evt_flags]
+    if len(typical) == 0:
+        typical = points
+    med, scale = _ref_typical_center(typical)
+    correct = tm.kind in DIFFERENCING_KINDS
+
+    detections = []
+    series_cache = {var: ms.get(var) for var in tm.variables}
+    for row in flagged_rows:
+        var, var_note = _ref_rank_deviation(points[row], med, scale, tm.variables)
+        orig_idx = int(tm.row_index[row])
+        idx = orig_idx
+        corr_note = ""
+        if var != "indeterminate" and correct:
+            idx, corr_note = _ref_correct_neighbor(orig_idx, series_cache[var], tm.provenance(row))
+        if var != "indeterminate":
+            direction, dir_note = _ref_classify_direction(series_cache[var], idx)
+        else:
+            direction, dir_note = "indeterminate", ""
+        note = "; ".join(x for x in (var_note, corr_note, dir_note) if x)
+        detections.append(
+            Detection(
+                timestamp=int(ms.timestamps[idx]),
+                variable=var,
+                direction=direction,
+                score=float(scores[row]),
+                trigger="evt",
+                corrected_from=int(ms.timestamps[orig_idx]) if idx != orig_idx else None,
+                note=note,
+            )
+        )
+    return detections

@@ -309,8 +309,17 @@ class TestEvaluateCommand:
         ("detect", "rules", "max_gap_minutes", float("nan")),
         ("evaluate", None, "reps", "x"),
         ("synth", "synth", "n_points", "x"),
+        # numbers are JSON numbers: no truncation, no booleans, no numeric strings
+        ("detect", "scoring", "k", 10.9),
+        ("detect", "scoring", "k", True),
+        ("detect", "scoring", "k", "7"),
+        ("detect", "threshold", "tail_count", 2.9),
+        ("detect", "rules", "max_gap_minutes", True),
     ],
-    ids=["k-text", "k-null", "alpha-text", "unknown-side", "gap-nan", "reps-text", "n_points-text"],
+    ids=[
+        "k-text", "k-null", "alpha-text", "unknown-side", "gap-nan", "reps-text", "n_points-text",
+        "k-fraction", "k-bool", "k-numeric-text", "tail_count-fraction", "gap-bool",
+    ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, section, key, value):
     cfg_path = write_config(tmp_path)
@@ -343,10 +352,17 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         ("synth", {"synth": {"base": {"turbidity": {"levle": 3}}}}, "synth.base.turbidity"),
         ("evaluate", {"grid": {"methods": [5]}}, "unknown scoring method 5"),
         ("evaluate", {"grid": {"variable_sets": ["turbidity"]}}, "grid.variable_sets"),
+        # variable-keyed entries must name an input variable
+        ("detect", {"rules": {"ranges": {"turbidty": [0, 1]}}}, "rules.ranges.turbidty"),
+        ("detect", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
+        ("evaluate", {"rules": {"ranges": {"turbidty": [0, 1]}}}, "rules.ranges.turbidty"),
+        ("plot-data", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
     ],
     ids=[
         "method-number", "forbid_negative-text", "gap-number", "base-number", "fault-without-index",
         "variables-text", "gap-one-value", "base-unknown-key", "grid-method-number", "variable-set-text",
+        "range-unknown-variable", "side-unknown-variable", "evaluate-range-unknown-variable",
+        "plot-side-unknown-variable",
     ],
 )
 def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, named):
@@ -358,6 +374,8 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
         args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
     else:
         args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]
+        if command == "plot-data":
+            args += ["--figure", "bivariate"]
     assert main(args) == EXIT_CONFIG
     assert named in caplog.text
     assert "Traceback" not in caplog.text

@@ -15,12 +15,12 @@ Every flagged cloud row is attributed in one pass over whole columns:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .core import MultiSeries
+from .core import MultiSeries, float_cells
 from .transforms import DIFFERENCING_KINDS, TransformedMatrix
 
 MAD_EPS = 1e-9
@@ -143,18 +143,14 @@ def attribute_detections(
     ]
 
 
+_CSV_FIELDS = ("timestamp", "variable", "direction", "score", "trigger", "corrected_from")
+
+
 def write_detections_csv(detections, path) -> None:
+    cols = list(zip(*map(attrgetter(*_CSV_FIELDS), detections))) or [()] * len(_CSV_FIELDS)
+    ts, var, direction, score, trigger, moved = cols
+    corrected = ["" if t is None else t for t in moved]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "variable", "direction", "score", "trigger", "corrected_from"])
-        for det in detections:
-            writer.writerow(
-                [
-                    det.timestamp,
-                    det.variable,
-                    det.direction,
-                    "" if math.isnan(det.score) else repr(det.score),
-                    det.trigger,
-                    "" if det.corrected_from is None else det.corrected_from,
-                ]
-            )
+        writer.writerow(_CSV_FIELDS)
+        writer.writerows(zip(ts, var, direction, float_cells(score), trigger, corrected))

@@ -12,7 +12,8 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from itertools import compress, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 LABEL_SUFFIX = "_label"
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _own(a, dtype) -> np.ndarray:
@@ -38,14 +40,17 @@ def _format_epoch(seconds: int) -> str:
 
 
 def _parse_iso(text: str) -> int:
-    """Parse an ISO-8601 instant (naive treated as UTC) to epoch seconds."""
+    """Parse an ISO-8601 instant (naive treated as UTC) to epoch seconds.
+
+    Fractional seconds are floored, so 1969-12-31T23:59:59.5 is -1, not 0.
+    """
     t = text.strip()
     if t.endswith("Z"):
         t = t[:-1] + "+00:00"
     dt = datetime.fromisoformat(t)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return (dt - _EPOCH) // timedelta(seconds=1)
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,108 @@ def ground_truth(ms: MultiSeries) -> GroundTruthVector:
 # ---------------------------------------------------------------------------
 
 
+# emit_csv's timestamp layout, as code points; "0" marks a digit slot.
+_CANONICAL = np.array(list("0000-00-00T00:00:00")).view(np.uint32)
+_DIGIT_SLOT = _CANONICAL == ord("0")
+_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # Y, M, D, h, m, s
+_NAN_IF_BLANK = {"": "nan"}
+_CHUNK_ROWS = 256  # under the gc's default youngest-generation threshold of 700
+_LABEL_CODES = {"": 0, "0": 0, "1": 1}
+
+
+def _canonical_stamps(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the cells spelled exactly like emit_csv's stamps, and their epoch seconds.
+
+    The fields are read off the digits of the whole column at once, and
+    numpy's calendar gives each month's first day and length. Cells whose
+    fields name no instant (year 0, month 13, February 30th, hour 24, second
+    60) are left out with the other cells, which all take ``_parse_iso``.
+    """
+    n = len(stamps)
+    codes = np.array(stamps, dtype="U19").view(np.uint32).reshape(n, 19)  # longer cells cut
+    digits = codes.astype(np.int64) - ord("0")
+    ok = np.where(_DIGIT_SLOT, (digits >= 0) & (digits <= 9), codes == _CANONICAL).all(axis=1)
+    ok &= np.fromiter(map(len, stamps), np.intp, n) == 19
+    digits[~ok] = 0  # keeps the calendar lookups below in range for the other cells
+    year, month, day, hour, minute, second = (
+        digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _FIELDS
+    )
+    months = (year - 1970) * 12 + month - 1
+    first, after = (
+        m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        for m in (months, months + 1)
+    )
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    return ok, (first + day - 1) * 86_400 + hour * 3_600 + minute * 60 + second
+
+
+def _records(path, reader, count: int) -> list[list[str]]:
+    """The next ``count`` records at most; a malformed or undecodable file is a DataError."""
+    try:
+        return list(islice(reader, count))
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode: {exc}") from None
+
+
+def _read_columns(path, reader, width: int) -> tuple[list[list[str]], np.ndarray, str | None]:
+    """Columns of the rows ``width`` cells wide, their row numbers, and any width error.
+
+    Reading stops at the first non-blank row of another width; its error is
+    returned, not raised, since an earlier row may fail first. Rows are
+    transposed a chunk at a time, fewer than the garbage collector's
+    youngest-generation threshold, so each row list dies before the collector
+    promotes it and no full collection walks a whole file of them.
+    """
+    cols: list[list[str]] = [[] for _ in range(width)]
+    nums = [np.empty(0, np.intp)]
+    start, error = 2, None
+    for chunk in iter(lambda: _records(path, reader, _CHUNK_ROWS), []):
+        at = np.arange(start, start + len(chunk))
+        start += len(chunk)
+        if set(map(len, chunk)) != {width}:
+            for i, row in enumerate(chunk):
+                if len(row) != width and any(c.strip() for c in row):
+                    error = f"{path}: row {at[i]} has {len(row)} cells, header has {width}"
+                    chunk, at = chunk[:i], at[:i]
+                    break
+            kept = [i for i, row in enumerate(chunk) if len(row) == width]
+            chunk, at = [chunk[i] for i in kept], at[kept]
+        for col, cells in zip(cols, zip(*chunk)):
+            col.extend(cells)
+        nums.append(at)
+        if error:
+            break
+    return cols, np.concatenate(nums), error
+
+
+def _walk(cells, parse, dtype) -> tuple[np.ndarray | None, int | None]:
+    """Parse stripped cells one at a time: (array, None), or (None, first failing position)."""
+    out = np.empty(len(cells), dtype)
+    for i, cell in enumerate(cells):
+        try:
+            out[i] = parse(cell.strip())
+        except (KeyError, ValueError):
+            return None, i
+    return out, None
+
+
+def _value_column(cells):
+    try:
+        values = map(float, map(_NAN_IF_BLANK.get, cells, cells))
+        return np.fromiter(values, np.float64, len(cells)), None
+    except ValueError:  # a bad cell, or a whitespace-only one
+        return _walk(cells, lambda c: float(c) if c else math.nan, np.float64)
+
+
+def _label_column(cells):
+    if _LABEL_CODES.keys() >= set(cells):
+        return np.fromiter(map(_LABEL_CODES.get, cells), np.uint8, len(cells)), None
+    return _walk(cells, _LABEL_CODES.__getitem__, np.uint8)
+
+
 def ingest_csv(
     path,
     variables: Sequence[str] | None = None,
@@ -198,7 +305,14 @@ def ingest_csv(
 
     When ``variables`` is None every non-timestamp, non-label column is a
     variable. Rows whose timestamp does not parse are rejected and their row
-    numbers logged; blank numeric cells become NaN.
+    numbers logged; blank numeric cells become NaN; blank rows are skipped.
+
+    Each column is parsed at once and walked cell by cell only when it
+    fails, so the error raised is the one a row-by-row read meets first: the
+    earliest failing row, and within it the cell count, then the values in
+    ``variables`` order, then the labels. Rows with a rejected timestamp are
+    not read further, and the rejected rows are logged only when no row
+    error is raised.
     """
     try:
         fh = open(path, newline="")
@@ -206,75 +320,70 @@ def ingest_csv(
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        first = _records(path, reader, 1)
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in first[0]]
+        if len(header) < 2:
+            raise DataError(f"{path}: header must contain a timestamp column plus variables")
+        ts_col = header[0]
+        data_cols = header[1:]
+        for i, name in enumerate(data_cols, start=2):
+            if not name:
+                raise DataError(f"{path}: column {i} of the header has no name")
+        repeated = [c for c in data_cols if data_cols.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+        label_cols = {c for c in data_cols if c.endswith(LABEL_SUFFIX)}
+        value_cols = [c for c in data_cols if c not in label_cols]
 
-    header = [h.strip() for h in header]
-    if len(header) < 2:
-        raise DataError(f"{path}: header must contain a timestamp column plus variables")
-    ts_col = header[0]
-    data_cols = header[1:]
-    label_cols = {c for c in data_cols if c.endswith(LABEL_SUFFIX)}
-    value_cols = [c for c in data_cols if c not in label_cols]
-
-    if variables is None:
-        wanted = value_cols
-    else:
-        wanted = list(variables)
-        missing = [v for v in wanted if v not in value_cols]
-        if missing:
-            raise DataError(
-                f"{path}: header mismatch; missing variable columns {missing}, "
-                f"found {value_cols}"
-            )
-
-    col_index = {name: i + 1 for i, name in enumerate(data_cols)}
-    ts_list: list[int] = []
-    values: dict[str, list[float]] = {v: [] for v in wanted}
-    labels: dict[str, list[int]] = {
-        v: [] for v in wanted if v + LABEL_SUFFIX in label_cols
-    }
-    rejected: list[int] = []
-
-    for row_num, row in enumerate(rows, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-            )
-        try:
-            ts = _parse_iso(row[0])
-        except ValueError:
-            rejected.append(row_num)
-            continue
-        ts_list.append(ts)
-        for v in wanted:
-            cell = row[col_index[v]].strip()
-            if cell == "":
-                values[v].append(math.nan)
-            else:
-                try:
-                    values[v].append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_num}, column {v!r}: "
-                        f"unparseable value {cell!r}"
-                    ) from None
-        for v in labels:
-            cell = row[col_index[v + LABEL_SUFFIX]].strip()
-            if cell in ("", "0"):
-                labels[v].append(0)
-            elif cell == "1":
-                labels[v].append(1)
-            else:
+        if variables is None:
+            wanted = value_cols
+        else:
+            wanted = list(variables)
+            missing = [v for v in wanted if v not in value_cols]
+            if missing:
                 raise DataError(
-                    f"{path}: row {row_num}, column {v + LABEL_SUFFIX!r}: "
-                    f"label must be 0 or 1, got {cell!r}"
+                    f"{path}: header mismatch; missing variable columns {missing}, "
+                    f"found {value_cols}"
                 )
+        cols, row_nums, width_error = _read_columns(path, reader, len(header))
+
+    stamps = cols[0]
+    parsed, ts = _canonical_stamps(stamps)
+    blank = np.zeros(len(stamps), dtype=bool)
+    for i in np.flatnonzero(~parsed).tolist():
+        try:
+            ts[i] = _parse_iso(stamps[i])
+            parsed[i] = True
+        except ValueError:
+            blank[i] = not any(col[i].strip() for col in cols)
+    rejected = row_nums[~parsed & ~blank].tolist()
+
+    keep = None if parsed.all() else parsed.tolist()
+    nums = row_nums[parsed]
+    col_index = {name: i + 1 for i, name in enumerate(data_cols)}
+    values: dict[str, np.ndarray] = {}
+    labels: dict[str, np.ndarray] = {}
+    checks = [(values, v, v, _value_column, "unparseable value {!r}") for v in wanted]
+    checks += [
+        (labels, v, v + LABEL_SUFFIX, _label_column, "label must be 0 or 1, got {!r}")
+        for v in wanted
+        if v + LABEL_SUFFIX in label_cols
+    ]
+    errors = []  # (position, check order, message): the first in row-by-row order wins
+    for order, (out, v, col, parse, complaint) in enumerate(checks):
+        cells = cols[col_index[col]]
+        if keep is not None:
+            cells = list(compress(cells, keep))
+        out[v], bad = parse(cells)
+        if bad is not None:
+            what = complaint.format(cells[bad].strip())
+            errors.append((bad, order, f"{path}: row {nums[bad]}, column {col!r}: {what}"))
+    if errors:
+        raise DataError(min(errors)[2])
+    if width_error:
+        raise DataError(width_error)
 
     if rejected:
         log.warning(
@@ -284,20 +393,17 @@ def ingest_csv(
             ts_col,
             rejected,
         )
-    if not ts_list:
+    if not nums.size:
         raise DataError(f"{path}: no usable data rows")
 
-    ts_arr = np.asarray(ts_list, dtype=np.int64)
-    series = tuple(
-        SensorSeries(
-            v,
-            ts_arr,
-            np.asarray(values[v]),
-            np.asarray(labels[v], dtype=np.uint8) if v in labels else None,
-        )
-        for v in wanted
-    )
+    ts_arr = ts[parsed]
+    series = tuple(SensorSeries(v, ts_arr, values[v], labels.get(v)) for v in wanted)
     return MultiSeries(site=site or str(path), series=series)
+
+
+def float_cells(values) -> list[str]:
+    """CSV cells for floats: the round-tripping ``repr``, blank for NaN."""
+    return ["" if math.isnan(v) else repr(v) for v in np.asarray(values, np.float64).tolist()]
 
 
 def emit_csv(ms: MultiSeries, path) -> None:
@@ -307,7 +413,7 @@ def emit_csv(ms: MultiSeries, path) -> None:
     header += [s.name + LABEL_SUFFIX for s in labelled]
     stamps = np.datetime_as_string(ms.timestamps.astype("datetime64[s]"), unit="s")
     cols = [stamps.tolist()]
-    cols += [["" if math.isnan(v) else repr(v) for v in s.values.tolist()] for s in ms.series]
+    cols += [float_cells(s.values) for s in ms.series]
     cols += [[str(x) for x in s.labels.tolist()] for s in labelled]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

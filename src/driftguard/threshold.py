@@ -13,6 +13,7 @@ the first score above it flags itself and everything larger.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,9 @@ class ThresholdTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "tested_score", "cutoff", "spacing_scale", "decision"])
-            for i, (s, c, g, dec) in enumerate(
-                zip(self.tested_scores, self.cutoffs, self.spacing_scales, self.decisions)
-            ):
-                writer.writerow([i, repr(float(s)), repr(float(c)), repr(float(g)), dec])
+            floats = (self.tested_scores, self.cutoffs, self.spacing_scales)
+            cols = [map(repr, np.asarray(a, np.float64).tolist()) for a in floats]
+            writer.writerows(zip(itertools.count(), *cols, self.decisions))
 
 
 def _effective_tail_count(cfg: ThresholdConfig, typical_size: int) -> int:

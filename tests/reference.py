@@ -6,7 +6,10 @@ deliberately avoiding the library's tree-based and vectorized code paths.
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -281,3 +284,127 @@ def ref_attribute_detections(tm, ms, evt_flags, scores):
             )
         )
     return detections
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion: the row-by-row parser, one cell at a time in file order.
+# The library parses whole columns and walks a column only when it fails.
+# `_ref_parse_iso` floors fractional seconds, so an instant before 1970 maps
+# to the second it falls in.
+# ---------------------------------------------------------------------------
+
+_REF_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ref_log = logging.getLogger("reference")
+
+
+def _ref_parse_iso(text):
+    t = text.strip()
+    if t.endswith("Z"):
+        t = t[:-1] + "+00:00"
+    dt = datetime.fromisoformat(t)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _REF_EPOCH) // timedelta(seconds=1)
+
+
+def ref_ingest_csv(path, variables=None, site=""):
+    """Row-loop ingest; logs the rejected-row warning on the ``reference`` logger."""
+    from driftguard.core import LABEL_SUFFIX, MultiSeries, SensorSeries
+    from driftguard.errors import DataError
+
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+
+    header = [h.strip() for h in header]
+    if len(header) < 2:
+        raise DataError(f"{path}: header must contain a timestamp column plus variables")
+    ts_col = header[0]
+    data_cols = header[1:]
+    label_cols = {c for c in data_cols if c.endswith(LABEL_SUFFIX)}
+    value_cols = [c for c in data_cols if c not in label_cols]
+
+    if variables is None:
+        wanted = value_cols
+    else:
+        wanted = list(variables)
+        missing = [v for v in wanted if v not in value_cols]
+        if missing:
+            raise DataError(
+                f"{path}: header mismatch; missing variable columns {missing}, "
+                f"found {value_cols}"
+            )
+
+    col_index = {name: i + 1 for i, name in enumerate(data_cols)}
+    ts_list = []
+    values = {v: [] for v in wanted}
+    labels = {v: [] for v in wanted if v + LABEL_SUFFIX in label_cols}
+    rejected = []
+
+    for row_num, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
+            )
+        try:
+            ts = _ref_parse_iso(row[0])
+        except ValueError:
+            rejected.append(row_num)
+            continue
+        ts_list.append(ts)
+        for v in wanted:
+            cell = row[col_index[v]].strip()
+            if cell == "":
+                values[v].append(math.nan)
+            else:
+                try:
+                    values[v].append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {row_num}, column {v!r}: "
+                        f"unparseable value {cell!r}"
+                    ) from None
+        for v in labels:
+            cell = row[col_index[v + LABEL_SUFFIX]].strip()
+            if cell in ("", "0"):
+                labels[v].append(0)
+            elif cell == "1":
+                labels[v].append(1)
+            else:
+                raise DataError(
+                    f"{path}: row {row_num}, column {v + LABEL_SUFFIX!r}: "
+                    f"label must be 0 or 1, got {cell!r}"
+                )
+
+    if rejected:
+        _ref_log.warning(
+            "%s: rejected %d rows with unparseable %s timestamps: %s",
+            path,
+            len(rejected),
+            ts_col,
+            rejected,
+        )
+    if not ts_list:
+        raise DataError(f"{path}: no usable data rows")
+
+    ts_arr = np.asarray(ts_list, dtype=np.int64)
+    series = tuple(
+        SensorSeries(
+            v,
+            ts_arr,
+            np.asarray(values[v]),
+            np.asarray(labels[v], dtype=np.uint8) if v in labels else None,
+        )
+        for v in wanted
+    )
+    return MultiSeries(site=site or str(path), series=series)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from driftguard import (
+    Detection,
     Method,
     PipelineConfig,
     ScoringConfig,
@@ -12,6 +13,7 @@ from driftguard import (
     attribute_detections,
     build_matrix,
     run_detection,
+    write_detections_csv,
 )
 from driftguard.attribution import DROP, INDETERMINATE, SHIFT, SPIKE
 
@@ -265,3 +267,26 @@ class TestEndToEndAttribution:
             moved_to = index_of[det.timestamp]
             moved_from = index_of[det.corrected_from]
             assert abs(moved_to - moved_from) == 1
+
+
+class TestDetectionsCsv:
+    def test_exact_bytes(self, tmp_path):
+        detections = [
+            Detection(1_500_000_000, "turbidity", SPIKE, 12.5, "evt"),
+            Detection(-1, "conductivity", DROP, float("nan"), "rule", 1_500_003_600, "a note"),
+            Detection(0, INDETERMINATE, INDETERMINATE, -0.0, "evt"),
+            Detection(7, "level", SHIFT, 1e-05, "evt", -60),
+            Detection(8, "level", SHIFT, 1e16, "evt", 0),
+        ]
+        out = tmp_path / "detections.csv"
+        write_detections_csv(detections, out)
+        assert out.read_bytes() == (
+            b"timestamp,variable,direction,score,trigger,corrected_from\r\n"
+            b"1500000000,turbidity,spike,12.5,evt,\r\n"
+            b"-1,conductivity,drop,,rule,1500003600\r\n"
+            b"0,indeterminate,indeterminate,-0.0,evt,\r\n"
+            b"7,level,shift,1e-05,evt,-60\r\n"
+            b"8,level,shift,1e+16,evt,0\r\n"
+        )
+        write_detections_csv([], out)
+        assert out.read_bytes() == b"timestamp,variable,direction,score,trigger,corrected_from\r\n"

@@ -1,6 +1,15 @@
+import logging
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference as ref
+from driftguard import core
 from driftguard import (
     BaseSignal,
     DataError,
@@ -102,6 +111,252 @@ class TestIngest:
         )
         with pytest.raises(DataError, match="label"):
             ingest_csv(path)
+
+
+    def test_duplicate_header_name_refused(self, tmp_path):
+        path = write(
+            tmp_path,
+            "timestamp,turbidity,turbidity\n2017-03-12T00:00:00,1,2\n",
+        )
+        with pytest.raises(DataError, match="column 'turbidity' appears more than once"):
+            ingest_csv(path)
+
+    def test_blank_header_name_refused(self, tmp_path):
+        path = write(tmp_path, "timestamp, ,t\n2017-03-12T00:00:00,1,2\n")
+        with pytest.raises(DataError, match="column 2 of the header has no name"):
+            ingest_csv(path)
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        path = write(tmp_path, "timestamp,turbidity\n2017-03-12T00:00:00," + "1" * 200_000 + "\n")
+        with pytest.raises(DataError, match="line 2: field larger than field limit"):
+            ingest_csv(path)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"timestamp,turbidity\n2017-03-12T00:00:00,1\n2017-03-12T01:00:00,\xe9\n")
+        with pytest.raises(DataError, match="cannot decode: 'utf-8' codec can't decode byte 0xe9"):
+            ingest_csv(path)
+
+    def test_fractional_seconds_before_1970_floor(self, tmp_path):
+        # truncating toward zero maps the first stamp onto the epoch itself
+        path = write(
+            tmp_path,
+            "timestamp,turbidity\n"
+            "1969-12-31T23:59:58.999999,1\n"
+            "1969-12-31T23:59:59.500000,2\n"
+            "1970-01-01T00:00:00,3\n"
+            "1970-01-01T00:00:00.500000,4\n",
+        )
+        with pytest.raises(DataError, match="duplicate timestamp 1970-01-01T00:00:00 at index 3"):
+            ingest_csv(path)
+        path = write(
+            tmp_path,
+            "timestamp,turbidity\n"
+            "1969-12-31T23:59:58.000001,1\n"
+            "1969-12-31T23:59:59.500000,2\n"
+            "1970-01-01T00:00:00.000000,3\n",
+        )
+        assert ingest_csv(path).timestamps.tolist() == [-2, -1, 0]
+
+
+def ingest_error(tmp_path, text, **kwargs):
+    with pytest.raises(DataError) as info:
+        ingest_csv(write(tmp_path, text), **kwargs)
+    return str(info.value).split(": ", 1)[1]
+
+
+class TestIngestErrors:
+    """The error a row-by-row read meets first, whichever column fails first."""
+
+    HEAD = "timestamp,a,b,a_label,b_label\n"
+    OK = "2017-03-12T00:00:00,1,2,0,0\n"
+
+    def test_bad_value_before_bad_label_in_a_later_row(self, tmp_path):
+        text = self.HEAD + self.OK + "2017-03-12T01:00:00,1,x,0,0\n" + "2017-03-12T02:00:00,1,2,0,7\n"
+        assert ingest_error(tmp_path, text) == "row 3, column 'b': unparseable value 'x'"
+
+    def test_bad_label_before_bad_value_in_a_later_row(self, tmp_path):
+        text = self.HEAD + "2017-03-12T01:00:00,1,2,0, 7 \n" + "2017-03-12T02:00:00,y,2,0,0\n"
+        assert ingest_error(tmp_path, text) == "row 2, column 'b_label': label must be 0 or 1, got '7'"
+
+    def test_within_a_row_values_in_variables_order_then_labels(self, tmp_path):
+        text = self.HEAD + "2017-03-12T01:00:00, x ,y,z,w\n"
+        assert ingest_error(tmp_path, text) == "row 2, column 'a': unparseable value 'x'"
+        assert ingest_error(tmp_path, text, variables=["b", "a"]) == (
+            "row 2, column 'b': unparseable value 'y'"
+        )
+        text = self.HEAD + "2017-03-12T01:00:00,1,2,0,w\n"
+        assert ingest_error(tmp_path, text, variables=["b"]) == (
+            "row 2, column 'b_label': label must be 0 or 1, got 'w'"
+        )
+
+    def test_cell_count_first_within_a_row(self, tmp_path):
+        text = self.HEAD + self.OK + "2017-03-12T01:00:00,x,2,0\n"
+        assert ingest_error(tmp_path, text) == "row 3 has 4 cells, header has 5"
+
+    def test_earlier_bad_cell_beats_later_cell_count(self, tmp_path):
+        text = self.HEAD + "2017-03-12T01:00:00,1,2,0,3\n" + "2017-03-12T02:00:00,1\n"
+        assert ingest_error(tmp_path, text) == (
+            "row 2, column 'b_label': label must be 0 or 1, got '3'"
+        )
+
+    def test_rejected_stamp_rows_are_not_value_checked(self, tmp_path, caplog):
+        text = (
+            self.HEAD
+            + "0000-01-01T00:00:00,x,2,0,0\n"
+            + "\n"
+            + " , , ,,\n"
+            + "   \n"
+            + self.OK
+            + "12/03/2017,1,2,0,9\n"
+            + "2017-02-30T00:00:00,1,2,0,0\n"
+            + "2017-03-12T01:00:00+01:00,1,2,0,0\n"
+        )
+        with caplog.at_level("WARNING", logger="driftguard.core"):
+            with pytest.raises(DataError, match="duplicate timestamp 2017-03-12T00:00:00 at index 1"):
+                ingest_csv(write(tmp_path, text))
+        assert [r.args[-1] for r in caplog.records] == [[2, 7, 8]]
+
+    def test_no_warning_when_a_row_error_is_raised(self, tmp_path, caplog):
+        text = self.HEAD + "later,1,2,0,0\n" + "2017-03-12T01:00:00,1,2,0,5\n"
+        with caplog.at_level("WARNING", logger="driftguard.core"):
+            with pytest.raises(DataError, match="row 3, column 'b_label'"):
+                ingest_csv(write(tmp_path, text))
+        assert not caplog.records
+
+    def test_errors_found_across_chunks(self, tmp_path):
+        # 700 rows span three of the reader's 256-row chunks
+        stamps = np.datetime_as_string(
+            np.arange(1_489_276_800, 1_489_276_800 + 60 * 700, 60).astype("datetime64[s]"), unit="s"
+        )
+        rows = [f"{t},1,2,0,0" for t in stamps]
+        rows[300] = rows[300].replace(",2,", ",bad,")
+        rows[290] = "nope" + rows[290][4:]
+        rows[600] = rows[600] + ",9"
+        text = self.HEAD + "\n".join(rows) + "\n"
+        assert ingest_error(tmp_path, text) == "row 302, column 'b': unparseable value 'bad'"
+        rows[300] = rows[300].replace(",bad,", ",2,")
+        assert ingest_error(tmp_path, self.HEAD + "\n".join(rows)) == "row 602 has 6 cells, header has 5"
+
+
+# --- ingest_csv against the row-by-row reference on generated CSV text --------
+
+EPOCH_2017 = 1_489_276_800
+
+
+STAMP_FORMS = ["canonical"] * 6 + ["z", "offset", "fraction", "lower-t", "space", "padded"]
+
+
+def _stamp(epoch: int, form: str) -> str:
+    text = np.datetime_as_string(np.datetime64(epoch, "s"), unit="s")
+    return {
+        "canonical": text,
+        "z": text + "Z",
+        "offset": text + "+01:00",
+        "fraction": text + ".500000",
+        "lower-t": text.replace("T", "t"),
+        "space": text.replace("T", " "),
+        "padded": f" {text} ",
+    }[form]
+
+
+# Odd stamps, most of them refused: impossible fields in the canonical layout
+# (the calendar's edges included), numpy-only spellings and non-ASCII digits.
+_JUNK_STAMPS = [
+    "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59", "2017-02-30T00:00:00",
+    "1900-02-29T00:00:00", "2000-02-29T00:00:00", "2017-04-31T00:00:00", "2017-04-30T23:59:59",
+    "2017-00-12T00:00:00", "2017-13-01T00:00:00", "2017-03-00T00:00:00", "2017-03-12T24:00:00",
+    "2017-03-12T12:60:00", "2017-03-12T23:59:60", "2017-03-12T00:00:0x", "201\u0667-03-12T00:00:00",
+    "NaT", "today", "not-a-time", "", "2017-03-12", "17-03-12T00:00:00", "1969-12-31T23:59:59.500000",
+]
+_GOOD_VALUES = ["", " ", " 1.5 ", "1.5", "-0.0", "nan", "-nan", "inf", "-Infinity", "1_000", "1e5"]
+_BAD_VALUES = ["x", "1.2.3", "0x10", "_1", "1e", "NaNa"]
+_GOOD_LABELS = ["", "0", "1", " 1 ", " 0"]
+_BAD_LABELS = ["2", "01", "x", "1.0"]
+
+
+@st.composite
+def csv_cases(draw):
+    """(CSV text, variables): blank, short and long rows, stamps of every form, bad cells."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    labelled = [v for v in names if draw(st.booleans())]
+    header = ["timestamp", *names, *(v + "_label" for v in labelled)]
+    width = len(header)
+    dirty = draw(st.booleans())  # clean files mostly parse, so their arrays get compared
+    kinds = ["data"] * 8 + ["empty", "spaces", "blank-row"] + (["short", "long"] if dirty else [])
+    values = st.one_of(
+        st.floats(width=64).map(repr), st.sampled_from(_GOOD_VALUES + (_BAD_VALUES if dirty else []))
+    )
+    labels = st.sampled_from(_GOOD_LABELS * 2 + (_BAD_LABELS if dirty else []))
+    lines = []
+    epoch = draw(st.sampled_from([EPOCH_2017, -3_600 * 5, 0]))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "empty":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append("  ")
+            continue
+        if kind == "blank-row":
+            lines.append(",".join(draw(st.sampled_from(["", " ", "\t"])) for _ in range(width)))
+            continue
+        epoch += draw(st.sampled_from([0] + [1, 60, 7_200, 86_400] * 5))
+        if draw(st.integers(0, 9)) == 0:
+            stamp = draw(st.sampled_from(_JUNK_STAMPS))
+        else:
+            stamp = _stamp(epoch, draw(st.sampled_from(STAMP_FORMS)))
+        cells = [stamp, *(draw(values) for _ in names), *(draw(labels) for _ in labelled)]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, width - 1))]
+        elif kind == "long":
+            cells.append("1")
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([",".join(header), *lines]) + draw(st.sampled_from(["", newline]))
+    variables = draw(st.one_of(st.none(), st.permutations(names).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k])))))
+    return text, variables
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(read, path, variables, logger):
+    records = _Records()
+    logging.getLogger(logger).addHandler(records)
+    try:
+        ms = read(path, variables)
+    except DataError as exc:
+        result = ("error", str(exc))
+    else:
+        result = (
+            ms.site,
+            ms.timestamps.tobytes(),
+            [(s.name, s.values.tobytes(), None if s.labels is None else s.labels.tobytes())
+             for s in ms.series],
+        )
+    finally:
+        logging.getLogger(logger).removeHandler(records)
+    return result, records.messages
+
+
+class TestMatchesRowReference:
+    @given(csv_cases(), st.sampled_from([1, 2, 3, 256]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_row_loop(self, case, chunk_rows):
+        text, variables = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_text(text, newline="")
+            with mock.patch.object(core, "_CHUNK_ROWS", chunk_rows):
+                got = _outcome(ingest_csv, path, variables, "driftguard.core")
+            want = _outcome(ref.ref_ingest_csv, path, variables, "reference")
+        assert got == want
 
 
 class TestEmitRoundtrip:

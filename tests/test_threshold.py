@@ -7,6 +7,7 @@ from driftguard import (
     DataError,
     RuleConfig,
     ThresholdConfig,
+    ThresholdTrace,
     apply_rules,
     combine_flags,
     evt_flag,
@@ -124,6 +125,28 @@ class TestEvtFlag:
         lines = out.read_text().splitlines()
         assert lines[0] == "iteration,tested_score,cutoff,spacing_scale,decision"
         assert len(lines) == 1 + len(trace.decisions)
+
+    def test_trace_csv_exact_bytes(self, tmp_path):
+        trace = ThresholdTrace(
+            alpha=0.05,
+            initial_fraction=0.5,
+            effective_tail_count=2,
+            n=10,
+            tested_scores=np.array([0.5, 1e-05, 2.0, np.inf]),
+            cutoffs=np.array([1.0, 1.5, 1.75, 3.0]),
+            spacing_scales=np.array([0.0, 0.1, np.nan, 1e16]),
+            decisions=("absorb", "absorb", "absorb", "stop"),
+            flagged_indices=np.array([9]),
+        )
+        out = tmp_path / "trace.csv"
+        trace.to_csv(out)
+        assert out.read_bytes() == (
+            b"iteration,tested_score,cutoff,spacing_scale,decision\r\n"
+            b"0,0.5,1.0,0.0,absorb\r\n"
+            b"1,1e-05,1.5,0.1,absorb\r\n"
+            b"2,2.0,1.75,nan,absorb\r\n"
+            b"3,inf,3.0,1e+16,stop\r\n"
+        )
 
     def test_explicit_tail_count_honored(self, rng):
         scores = rng.exponential(1.0, 200)

@@ -1,12 +1,15 @@
 """Shared geometry: unit-hypercube normalization, exact kNN, Leader clustering.
 
-kNN is kd-tree accelerated but contractually exact: candidate selection comes
-from the tree, final distances are recomputed from coordinates, and boundary
-ties fall back to a full scan, so the result is identical to brute force with
-ties broken by lower index. It runs on the distinct points: exact duplicate
-rows (the origin cluster of the one-sided transform) collapse into one tree
-point, and the full scan fires only when distinct points tie across the edge
-of the tree window.
+kNN is kd-tree accelerated but contractually exact, identical to brute force
+with ties broken by lower index. It runs on the distinct points: exact
+duplicate rows (the origin cluster of the one-sided transform) collapse into
+one tree point. The tree only selects a window of nearest distinct points per
+query; distances are recomputed from coordinates, each window is expanded
+into its rows and ranked by (distance, index) in its own row of an array. A
+window whose farthest point does not lie strictly beyond the (k + 1)-th
+ranked distance may miss points tied at that distance, so its query is run
+again with the window doubled, until the window settles or holds every
+distinct point.
 
 Leader clustering follows the same contract: one tree over the cloud, one
 ball query per exemplar, and each candidate's distance recomputed from the
@@ -23,13 +26,14 @@ from scipy.spatial import cKDTree
 
 from .errors import DataError
 
-# Extra distinct points fetched per tree query. A distinct point whose
-# (k + 1)-th best row distance is not strictly below the farthest candidate in
-# its window may have tied distinct points outside it; it gets an exact
-# full-row scan.
-_QUERY_PAD = 16
-# Distinct points queried and ranked together; bounds the candidate expansion
-# (at most block x window x (k + 1) entries) and so peak memory.
+# Distinct points in the first tree window beyond the k + 1 a query needs.
+# Queries whose window cannot prove its (k + 1)-th row are run again with the
+# window doubled, so this only trades first-pass width against re-queries.
+_QUERY_PAD = 2
+# Distinct points queried and ranked together in the first pass. Widened
+# windows are queried in smaller batches, so no batch of two or more queries
+# expands to over _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1) rows; this bounds
+# peak memory.
 _BLOCK = 2048
 # Relative margin on a Leader ball query, far above rounding in the tree's
 # distances, so the ball holds every point the exact formula puts in reach.
@@ -110,54 +114,49 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
 
     # Rows with equal coordinates share their k + 1 best rows; each row's list
     # is its group's with the row itself dropped. A group can place at most
-    # its k + 1 lowest-index members in any such list.
-    uniq, inverse, counts = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
+    # its k + 1 lowest-index members in any such list. The lexsort is stable
+    # and compares -0.0 equal to 0.0, so each group is one run of members in
+    # ascending index.
+    members = np.lexsort(pts.T)
+    ordered = pts[members]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)  # each group's offset in members
+    uniq = ordered[first]
     n_uniq = len(uniq)
-    members = np.argsort(inverse, kind="stable")  # group by group, ascending index
-    first = np.cumsum(counts) - counts  # each group's offset in members
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[members] = np.cumsum(starts) - 1
     take = k + 1
-    width = np.minimum(counts, take)
+    width = np.minimum(np.diff(first, append=n), take)
     top_ids = np.empty((n_uniq, take), dtype=np.int64)
     top_d = np.empty((n_uniq, take), dtype=np.float64)
 
     tree = cKDTree(uniq)
+    budget = _BLOCK * (take + _QUERY_PAD) * take
     m = min(n_uniq, take + _QUERY_PAD)
-    for lo in range(0, n_uniq, _BLOCK):
-        query = uniq[lo : lo + _BLOCK]
-        b = len(query)
-        _, cand = tree.query(query, k=m)
-        cand = cand.reshape(b, m)
-        # Tree output selects candidates only; distances are recomputed from the
-        # coordinates so values and tie order match a direct scan bit for bit.
-        d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
-        # Expand each candidate into its members; a query's entries form one
-        # run of >= k + 1 (m >= k + 1 distinct points, or all n rows).
-        w = width[cand]
-        sizes = w.sum(axis=1)
-        w = w.ravel()
-        offset = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
-        ids = members[np.repeat(first[cand.ravel()], w) + offset]
-        dists = np.repeat(d_cand.ravel(), w)
-        # One flat lexsort ranks every run at once, keeping each in place.
-        order = np.lexsort((ids, dists, np.repeat(np.arange(b), sizes)))
-        pick = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(take)]
-        top_ids[lo : lo + b], top_d[lo : lo + b] = ids[pick], dists[pick]
-
-        if m < n_uniq:
+    pending = np.arange(n_uniq)
+    while len(pending):
+        needy = []
+        step = max(1, budget // (m * take))
+        for lo in range(0, len(pending), step):
+            u = pending[lo : lo + step]
+            query = uniq[u]
+            _, cand = tree.query(query, k=m)
+            cand = cand.reshape(len(u), m)
+            # Tree output selects candidates only; distances are recomputed from
+            # the coordinates so values and tie order match a direct scan bit
+            # for bit.
+            d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
+            top_ids[u], top_d[u] = _rank(cand, d_cand, members, first, width, take)
             # A window provably holds every point at distance <= the (k+1)-th
             # selected distance only when its farthest candidate lies strictly
             # beyond it; otherwise distinct points tied at that distance may
-            # lie outside the window. Those get an exact full scan: k + 1
-            # smallest by value, then the boundary tie group re-ranked by index.
-            needy = np.nonzero(d_cand.max(axis=1) <= top_d[lo : lo + b, -1])[0] + lo
-            for u in needy:
-                d = np.sqrt(((uniq - uniq[u]) ** 2).sum(axis=-1))[inverse]
-                kth = np.partition(d, k)[k]
-                in_play = np.nonzero(d <= kth)[0]
-                top = np.lexsort((in_play, d[in_play]))[:take]
-                top_ids[u] = in_play[top]
-                top_d[u] = d[in_play][top]
+            # lie outside the window.
+            needy.append(u[d_cand.max(axis=1) <= top_d[u, -1]])
+        if m == n_uniq:
+            break
+        pending = np.concatenate(needy)
+        m = min(n_uniq, 2 * m)
 
     # Drop each row from its group's list, or the list's last entry when the
     # row is not in it.
@@ -166,6 +165,33 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     pick = np.arange(k) + (np.arange(k) >= self_pos[:, None])
     group = inverse[:, None]
     return NeighborLists(indices=top_ids[group, pick], distances=top_d[group, pick], k=k)
+
+
+def _rank(cand, d_cand, members, first, width, take):
+    """Each query's ``take`` best rows, ascending by (distance, index).
+
+    ``cand`` and ``d_cand`` hold one row of distinct candidate points per
+    query; each candidate stands for the first ``width`` rows of its group.
+    """
+    w = width[cand]
+    if (w == 1).all():
+        ids, dists = members[first[cand]], d_cand
+    else:
+        # Expand each candidate into its rows, one query per row of a
+        # (queries, widest expansion) array padded with (inf, int64 max); a
+        # query holds >= take rows (>= take distinct points, or all n rows),
+        # so padding never ranks.
+        sizes = w.sum(axis=1)
+        w = w.ravel()
+        rows = np.repeat(np.arange(len(cand)), sizes)
+        cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        offset = np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
+        ids = np.full((len(cand), sizes.max()), np.iinfo(np.int64).max, dtype=np.int64)
+        dists = np.full(ids.shape, np.inf)
+        ids[rows, cols] = members[np.repeat(first[cand.ravel()], w) + offset]
+        dists[rows, cols] = np.repeat(d_cand.ravel(), w)
+    order = np.lexsort((ids, dists), axis=1)[:, :take]
+    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(dists, order, axis=1)
 
 
 def leader(cloud: PointCloud, radius: float) -> LeaderClustering:

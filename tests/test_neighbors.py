@@ -144,7 +144,7 @@ class TestKnn:
 
     def test_blocks_and_fallback_match_bruteforce(self, rng, monkeypatch):
         # many small blocks and a window too narrow for the lattice's rings
-        # of equidistant points, so the per-point full scan runs in most blocks
+        # of equidistant points, so windows are widened in most blocks
         monkeypatch.setattr(neighbors, "_BLOCK", 7)
         monkeypatch.setattr(neighbors, "_QUERY_PAD", 0)
         pts = rng.integers(0, 10, (150, 2)).astype(float)
@@ -164,6 +164,53 @@ class TestKnn:
         coords = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
         pts = data.draw(arrays(np.float64, (n, d), elements=coords))
         nl = knn(PointCloud(pts), k)
+        ridx, rdist = ref.ref_knn(pts, k)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    def test_widening_doubles_window_until_tie_ring_fits(self, rng, monkeypatch):
+        # a centre (twice) ringed by the 30 lattice points at distance 5 and
+        # the 72 at sqrt(26): with k = 3 the centre's window starts at 4 and
+        # doubles to 8, 16 and 32 before the whole ring fits
+        monkeypatch.setattr(neighbors, "_BLOCK", 5)
+        monkeypatch.setattr(neighbors, "_QUERY_PAD", 0)
+        windows = []
+        rank = neighbors._rank
+
+        def spy(cand, *args):
+            windows.append(cand.shape)
+            return rank(cand, *args)
+
+        monkeypatch.setattr(neighbors, "_rank", spy)
+        r = np.arange(-5, 6)
+        grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        sq = (grid**2).sum(axis=1)
+        pts = np.vstack([np.zeros((2, 3)), grid[(sq == 25) | (sq == 26)]]).astype(float)
+        pts = pts[rng.permutation(len(pts))]
+        nl = knn(PointCloud(pts), 3)
+        ridx, rdist = ref.ref_knn(pts, 3)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+        assert max(w for _, w in windows) >= 32
+        # only a lone query expands past _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1)
+        assert all(b == 1 or b * w * 4 <= 5 * 4 * 4 for b, w in windows)
+        assert (1, 32) in windows
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bruteforce_property_on_lattice_widening(self, data):
+        # the lattice property from the narrowest window, in small blocks, so
+        # most ties at the window's edge are settled by widening
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        k = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
+        block = data.draw(st.integers(min_value=1, max_value=8))
+        coords = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+        pts = data.draw(arrays(np.float64, (n, d), elements=coords))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_QUERY_PAD", 0)
+            mp.setattr(neighbors, "_BLOCK", block)
+            nl = knn(PointCloud(pts), k)
         ridx, rdist = ref.ref_knn(pts, k)
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)

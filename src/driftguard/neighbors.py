@@ -71,14 +71,12 @@ class NeighborLists:
 
     indices: np.ndarray  # (n, k) int64
     distances: np.ndarray  # (n, k) float64
-    k: int
 
 
 @dataclass(frozen=True)
 class LeaderClustering:
     exemplars: np.ndarray  # exemplar point indices, in creation order
     assignment: np.ndarray  # per point: cluster id (position in exemplars)
-    radius: float
 
 
 def normalize(points: np.ndarray) -> PointCloud:
@@ -164,7 +162,7 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     self_pos = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
     pick = np.arange(k) + (np.arange(k) >= self_pos[:, None])
     group = inverse[:, None]
-    return NeighborLists(indices=top_ids[group, pick], distances=top_d[group, pick], k=k)
+    return NeighborLists(indices=top_ids[group, pick], distances=top_d[group, pick])
 
 
 def _rank(cand, d_cand, members, first, width, take):
@@ -223,11 +221,7 @@ def leader(cloud: PointCloud, radius: float) -> LeaderClustering:
         uncovered[hit] = False
         exemplars.append(i)
         i += int(uncovered[i:].argmax())
-    return LeaderClustering(
-        exemplars=np.asarray(exemplars, dtype=np.int64),
-        assignment=assignment,
-        radius=float(radius),
-    )
+    return LeaderClustering(np.asarray(exemplars, dtype=np.int64), assignment)
 
 
 def default_leader_radius(n: int, dim: int) -> float:

@@ -72,8 +72,12 @@ class ScoringConfig:
         # Written as not (x > 0) so that NaN is refused too.
         if self.leader_radius is not None and not self.leader_radius > 0:
             raise ConfigError("leader_radius must be positive")
-        if not (self.rkof_bandwidth_scale > 0 and self.rkof_weight_sigma > 0):
-            raise ConfigError("kernel parameters must be positive")
+        if not 0 < self.rkof_bandwidth_scale < np.inf:
+            raise ConfigError("rkof_bandwidth_scale must be positive and finite")
+        if not np.isfinite(self.rkof_bandwidth_exponent):
+            raise ConfigError("rkof_bandwidth_exponent must be finite")
+        if not self.rkof_weight_sigma > 0:  # inf is the unweighted limit
+            raise ConfigError("rkof_weight_sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,19 +164,26 @@ def score_lof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Score
     return ScoreVector(lrd[nl.indices].mean(axis=1) / lrd, Method.LOF)
 
 
-def _avg_chain_dists(pts: np.ndarray, neighbor_idx: np.ndarray, k: int) -> np.ndarray:
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of broadcast point arrays, added one coordinate at a time.
+
+    No (..., d) difference array; bit-equal to ((a - b) ** 2).sum(axis=-1) for d <= 7.
+    """
+    total = (a[..., 0] - b[..., 0]) ** 2
+    for j in range(1, a.shape[-1]):
+        total += (a[..., j] - b[..., j]) ** 2
+    return total
+
+
+def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
     """Average chaining distance of every point's set-based nearest path.
 
-    The path over {point} + its k neighbors is grown greedily, connecting the
-    closest unconnected member to the connected set (ties to the lowest
-    index); the step-i edge carries weight 2(k+1-i) / (k(k+1)). All points
-    advance through the k steps together.
+    ``dist`` (n, k+1, k+1) holds the distances within each point's neighborhood,
+    the point first. The path grows greedily from the point, connecting the
+    closest unconnected member to the connected set (ties to the lowest index);
+    the step-i edge weighs 2(k+1-i) / (k(k+1)). All points step together.
     """
-    n = len(pts)
-    m = k + 1
-    coords = np.concatenate([pts[:, None, :], pts[neighbor_idx]], axis=1)  # (n, m, d)
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))  # (n, m, m)
+    n, m = dist.shape[:2]
     rows = np.arange(n)
     connected = np.zeros((n, m), dtype=bool)
     connected[:, 0] = True
@@ -181,7 +192,7 @@ def _avg_chain_dists(pts: np.ndarray, neighbor_idx: np.ndarray, k: int) -> np.nd
     ac = np.zeros(n)
     for step in range(1, m):
         nxt = best.argmin(axis=1)
-        ac += 2.0 * (m - step) / (k * (k + 1)) * best[rows, nxt]
+        ac += 2.0 * (m - step) / ((m - 1) * m) * best[rows, nxt]
         connected[rows, nxt] = True
         best = np.minimum(best, dist[rows, nxt, :])
         best[connected] = np.inf
@@ -191,7 +202,8 @@ def _avg_chain_dists(pts: np.ndarray, neighbor_idx: np.ndarray, k: int) -> np.nd
 def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Connectivity-based factor comparing chaining distances with neighbors'."""
     k = cfg.k
-    ac = _avg_chain_dists(cloud.points, nl.indices, k)
+    hood = cloud.points[np.column_stack([np.arange(len(cloud)), nl.indices])]  # (n, k+1, d)
+    ac = _avg_chain_dists(np.sqrt(_sq_distances(hood[:, :, None], hood[:, None])))
     denom = ac[nl.indices].sum(axis=1)
     floor = k * _density_floor(cloud)
     scores = np.where(
@@ -225,14 +237,13 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
 
 
 def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
-    """Relative distance factor: mean kNN distance over mean inner kNN distance."""
+    """Relative distance factor: mean kNN distance over mean distance between neighbors."""
     if cfg.k < 2:
         raise DataError("this factor needs k >= 2")
     k = cfg.k
-    pts = cloud.points
     dbar = nl.distances.mean(axis=1)
-    nbr = pts[nl.indices]  # (n, k, d)
-    pair = np.sqrt(((nbr[:, :, None, :] - nbr[:, None, :, :]) ** 2).sum(axis=-1))
+    nbr = cloud.points[nl.indices]  # (n, k, d)
+    pair = np.sqrt(_sq_distances(nbr[:, :, None], nbr[:, None]))
     inner = pair.sum(axis=(1, 2)) / (k * (k - 1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,18 +262,16 @@ def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
 def score_rkof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Kernel-density factor: weighted neighborhood density over own density.
 
-    Variable-bandwidth Gaussian kernel density with bandwidth
-    C * kdist(o)**lambda per neighbor, floored at a machine-epsilon-scaled
-    cloud diameter so coincident points stay finite.
+    Variable-bandwidth Gaussian kernel density over each point's k neighbors,
+    bandwidth C * kdist(o)**lambda per neighbor, floored at a machine-epsilon-
+    scaled cloud diameter so coincident points stay finite.
     """
-    pts = cloud.points
     d = cloud.dim
     kdist = nl.distances[:, -1]
     h_floor = _density_floor(cloud)
     h = np.maximum(cfg.rkof_bandwidth_scale * kdist**cfg.rkof_bandwidth_exponent, h_floor)
 
-    diffs = pts[:, None, :] - pts[nl.indices]  # (n, k, d)
-    r2 = (diffs**2).sum(axis=-1)
+    r2 = _sq_distances(cloud.points[:, None], cloud.points[nl.indices])
     hn = h[nl.indices]
     norm = (2.0 * np.pi) ** (d / 2.0) * hn**d
     kde = (np.exp(-r2 / (2.0 * hn**2)) / norm).mean(axis=1)

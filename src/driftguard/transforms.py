@@ -182,16 +182,15 @@ def resolve_sides(
 class TransformedMatrix:
     """Point cloud in transform space with back-links to the original series.
 
-    values/valid_mask cover every original timestamp; ``row_index`` lists the
-    rows whose selected cells are all valid, and ``points`` holds exactly
-    those rows. Provenance of row i is row_index[i] plus the kind's span.
+    ``values`` covers every original timestamp; ``row_index`` lists the rows
+    whose selected cells are all valid, and ``points`` holds exactly those
+    rows. Provenance of row i is row_index[i] plus the kind's span.
     """
 
     kind: TransformKind
     variables: tuple[str, ...]
     timestamps: np.ndarray
     values: np.ndarray  # (n, d), NaN where invalid
-    valid_mask: np.ndarray  # (n, d) bool
     row_index: np.ndarray  # indices of rows kept in the cloud
     sides: Mapping[str, Side] | None = None
 
@@ -222,7 +221,7 @@ def build_matrix(
     """Transform the selected variables and assemble the joint point cloud.
 
     Rows with any invalid cell among the selected variables are dropped from
-    the cloud but stay visible in values/valid_mask.
+    the cloud but stay visible, as NaN, in ``values``.
     """
     names = tuple(variables) if variables is not None else ms.variables
     if not names:
@@ -239,14 +238,12 @@ def build_matrix(
         masks.append(valid)
 
     values = np.column_stack(cols)
-    valid_mask = np.column_stack(masks)
-    row_index = np.nonzero(valid_mask.all(axis=1))[0]
+    row_index = np.nonzero(np.logical_and.reduce(masks))[0]
     return TransformedMatrix(
         kind=kind,
         variables=names,
         timestamps=ms.timestamps.copy(),
         values=values,
-        valid_mask=valid_mask,
         row_index=row_index,
         sides=side_map,
     )

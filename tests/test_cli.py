@@ -315,10 +315,14 @@ class TestEvaluateCommand:
         ("detect", "scoring", "k", "7"),
         ("detect", "threshold", "tail_count", 2.9),
         ("detect", "rules", "max_gap_minutes", True),
+        # a non-finite bandwidth caps every RKOF score and flags nothing
+        ("detect", "scoring", "rkof_bandwidth_exponent", float("nan")),
+        ("detect", "scoring", "rkof_bandwidth_scale", float("inf")),
     ],
     ids=[
         "k-text", "k-null", "alpha-text", "unknown-side", "gap-nan", "reps-text", "n_points-text",
         "k-fraction", "k-bool", "k-numeric-text", "tail_count-fraction", "gap-bool",
+        "rkof-exponent-nan", "rkof-scale-inf",
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, command, section, key, value):

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
-from driftguard.scoring import knn_agg_weights
+from driftguard.scoring import _sq_distances, knn_agg_weights
 
 import reference as ref
 
@@ -73,6 +78,55 @@ def test_given_neighbor_lists_are_used_and_must_fit(method, rng):
 def test_config_rejects_non_positive_and_nan(field, value):
     with pytest.raises(ConfigError):
         ScoringConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rkof_bandwidth_scale", "rkof_bandwidth_exponent"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_config_rejects_non_finite_bandwidth(field, value):
+    # either one makes every kernel density vanish and every RKOF score the cap
+    with pytest.raises(ConfigError, match=field):
+        ScoringConfig(**{field: value})
+
+
+def test_config_allows_infinite_weight_sigma():
+    # the unweighted limit: every neighbor weighs exp(0) = 1
+    cfg = ScoringConfig(method=Method.RKOF, k=3, rkof_weight_sigma=np.inf)
+    assert np.isfinite(score(grid10(), cfg).scores).all()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sq_distances_bit_equal_to_summed_squares(data):
+    # numpy adds fewer than 8 terms in order, as _sq_distances does; rows are
+    # drawn from a small pool so neighborhoods repeat rows, zeros and -0.0
+    d = data.draw(st.integers(min_value=1, max_value=7))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    m = data.draw(st.integers(min_value=1, max_value=6))
+    coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    pool = data.draw(arrays(np.float64, (4, d), elements=coords))
+    pick = data.draw(arrays(np.int64, (n, m + 1), elements=st.integers(0, 3)))
+    own, hood = pool[pick[:, 0]], pool[pick[:, 1:]]  # (n, d), (n, m, d)
+    for a, b in [(hood[:, :, None], hood[:, None]), (own[:, None], hood)]:
+        got = _sq_distances(a, b)
+        want = ((a - b) ** 2).sum(axis=-1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", [Method.COF, Method.LDOF], ids=lambda m: m.value)
+def test_neighborhood_distances_build_no_difference_tensor(method, rng):
+    # An (n, k+1, k+1, d) or (n, k, k, d) difference array alone takes d units
+    # of n (k+1)^2 float64; the scorer's own peak stays under 3 units.
+    n, k = 3000, 10
+    cloud = normalize(np.maximum(rng.standard_normal((n, 3)), 0.0))  # 1 row in 8 at the origin
+    nl = knn(cloud, k)
+    tracemalloc.start()
+    try:
+        score(cloud, ScoringConfig(method=method, k=k), nl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * (k + 1) ** 2 * 8
 
 
 class TestKnnSum:

@@ -223,11 +223,18 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
     kdist = nl.distances[:, -1]
     den = 1.0 / np.maximum(kdist, _density_floor(cloud))
 
-    # influence edges p -> o: o in kNN(p), plus o with p in kNN(o); encode as
-    # p * n + o and deduplicate the union in one pass
+    # influence edges p -> o: o in kNN(p), plus o with p in kNN(o); encoded as
+    # p * n + o. A kNN list holds distinct points, so the forward keys are
+    # distinct; a reverse key o * n + p is added only when p is not in kNN(o),
+    # so no key repeats. Sorting the keys makes bincount add each owner's
+    # densities in ascending member order, which fixes the sums' last bit.
     src = np.repeat(np.arange(n, dtype=np.int64), cfg.k)
     dst = nl.indices.ravel()
-    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    rev = np.ones(len(dst), dtype=bool)
+    for j in range(cfg.k):
+        rev &= nl.indices[dst, j] != src
+    keys = np.concatenate([src * n + dst, dst[rev] * n + src[rev]])
+    keys.sort()
     owners = keys // n
     members = keys % n
     sums = np.bincount(owners, weights=den[members], minlength=n)

@@ -108,8 +108,10 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
     last = hit + 1 if hit is not None else len(candidates)
 
     flags = np.zeros(n, dtype=bool)
+    stops = ()
     if stop_at is not None:
         flags[order[stop_at:]] = True
+        stops = ("stop",)
     degenerate = n > 1 and ss[0] == ss[-1]
     trace = ThresholdTrace(
         alpha=cfg.alpha,
@@ -119,10 +121,7 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
         tested_scores=ss[candidates[:last]].copy(),
         cutoffs=cutoffs[:last].copy(),
         spacing_scales=ghat[:last].copy(),
-        decisions=tuple(
-            "stop" if stop_at is not None and i == last - 1 else "absorb"
-            for i in range(last)
-        ),
+        decisions=("absorb",) * (last - len(stops)) + stops,
         flagged_indices=np.sort(order[stop_at:]) if stop_at is not None else np.empty(0, dtype=np.int64),
         degenerate=degenerate,
         note="all scores identical: no spacings to fit" if degenerate else "",
@@ -144,7 +143,7 @@ def combine_flags(
         ):
             raise DataError("rule flags do not align with the timestamp vector")
         pred |= rule_flags.any_at_timestamp()
-    wanted = np.asarray(sorted(set(int(t) for t in outlier_timestamps)), dtype=np.int64)
+    wanted = np.unique(np.fromiter(outlier_timestamps, dtype=np.int64))
     if wanted.size:
         pos = np.searchsorted(timestamps, wanted)
         ok = (pos < n) & (timestamps[np.minimum(pos, n - 1)] == wanted)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
-from driftguard.scoring import _sq_distances, knn_agg_weights
+from driftguard.scoring import _density_floor, _sq_distances, knn_agg_weights, score_inflo
 
 import reference as ref
 
@@ -233,6 +233,52 @@ class TestInflo:
         pair = np.array([[5.0, 5.0], [5.2, 5.0]])
         sv = score(PointCloud(np.vstack([cluster, pair])), ScoringConfig(method=Method.INFLO, k=2))
         assert sv.scores[4] == pytest.approx(sv.scores[5], rel=1e-12)
+
+
+def _inflo_by_unique(cloud: PointCloud, nl, k: int) -> np.ndarray:
+    """INFLO with the influence edges deduplicated by np.unique over both directions."""
+    n = len(cloud)
+    den = 1.0 / np.maximum(nl.distances[:, -1], _density_floor(cloud))
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = nl.indices.ravel()
+    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    owners, members = keys // n, keys % n
+    sums = np.bincount(owners, weights=den[members], minlength=n)
+    return sums / np.bincount(owners, minlength=n) / den
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_inflo_bit_equal_to_unique_edge_union(data):
+    # one-sided clouds: about half of each column clipped to zero, and some
+    # rounded so whole rows repeat, which makes many edges mutual
+    n = data.draw(st.integers(min_value=3, max_value=120))
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 12)))
+    raw = data.draw(arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
+    pts = np.maximum(raw, 0.0)
+    decimals = data.draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    cloud = PointCloud(pts)
+    nl = knn(cloud, k)
+    got = score_inflo(cloud, nl, ScoringConfig(method=Method.INFLO, k=k)).scores
+    assert got.tobytes() == _inflo_by_unique(cloud, nl, k).tobytes()
+
+
+def test_inflo_builds_no_gathered_neighbor_lists(rng):
+    # Gathering kNN(o) for every edge p -> o makes an (n k, k) int64 array,
+    # k units of n k int64 alone; the scorer's own peak stays under 8 units.
+    n, k = 3000, 10
+    cloud = normalize(np.maximum(rng.standard_normal((n, 3)), 0.0))  # 1 row in 8 at the origin
+    nl = knn(cloud, k)
+    tracemalloc.start()
+    try:
+        score_inflo(cloud, nl, ScoringConfig(method=Method.INFLO, k=k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * k * 8
 
 
 class TestLdof:

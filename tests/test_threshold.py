@@ -174,6 +174,13 @@ class TestEvtFlag:
         assert decisions[-1] == "stop"
         np.testing.assert_array_equal(flags, scores >= ss[19 + len(decisions)])
 
+    def test_no_candidates_gives_empty_trace(self):
+        # initial_fraction 0.95 seeds the typical set with all 10 scores
+        flags, trace = evt_flag(np.arange(10.0), ThresholdConfig(initial_fraction=0.95))
+        assert not flags.any()
+        assert trace.decisions == ()
+        assert len(trace.decisions) == len(trace.tested_scores) == len(trace.cutoffs) == 0
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ThresholdConfig(alpha=0.0)
@@ -205,6 +212,17 @@ class TestCombineFlags:
         flags, _ = apply_rules(ms, RuleConfig(ranges={"x": (-np.inf, np.inf)}))
         pred = combine_flags(flags, [int(ms.timestamps[2])], ms.timestamps)
         assert list(pred) == [False, True, True]
+
+    def test_array_and_generator_match_list(self):
+        ts = np.arange(0, 600, 60, dtype=np.int64)
+        wanted = [60, 300, 540]
+        expected = combine_flags(None, wanted, ts)
+        assert expected.sum() == 3
+        unsorted = np.array([540, 60, 300, 60, 540], dtype=np.int64)
+        assert np.array_equal(combine_flags(None, unsorted, ts), expected)
+        assert np.array_equal(combine_flags(None, (int(t) for t in unsorted), ts), expected)
+        assert not combine_flags(None, [], ts).any()
+        assert not combine_flags(None, np.empty(0, dtype=np.int64), ts).any()
 
     def test_unknown_timestamp_rejected(self):
         ts = np.array([0, 60], dtype=np.int64)

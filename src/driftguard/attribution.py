@@ -14,13 +14,12 @@ Every flagged cloud row is attributed in one pass over whole columns:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .core import MultiSeries, float_cells
+from .core import MultiSeries, float_cells, write_csv
 from .transforms import DIFFERENCING_KINDS, TransformedMatrix
 
 MAD_EPS = 1e-9
@@ -150,7 +149,4 @@ def write_detections_csv(detections, path) -> None:
     cols = list(zip(*map(attrgetter(*_CSV_FIELDS), detections))) or [()] * len(_CSV_FIELDS)
     ts, var, direction, score, trigger, moved = cols
     corrected = ["" if t is None else t for t in moved]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        writer.writerows(zip(ts, var, direction, float_cells(score), trigger, corrected))
+    write_csv(path, _CSV_FIELDS, zip(ts, var, direction, float_cells(score), trigger, corrected))

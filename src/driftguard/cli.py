@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .attribution import write_detections_csv
 from .core import (
     BaseSignal,
     FaultSpec,
@@ -28,6 +29,7 @@ from .core import (
     ground_truth,
     ingest_csv,
     synth_series,
+    write_csv,
 )
 from .errors import ConfigError, DataError, DriftguardError
 from .evaluation import Combo, grid_evaluate, write_report_csv
@@ -376,8 +378,6 @@ def cmd_detect(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .attribution import write_detections_csv
-
     write_detections_csv(result.detections, out_dir / "detections.csv")
     result.trace.to_csv(out_dir / "trace.csv")
     _write_manifest(cfg, out_dir)
@@ -420,56 +420,31 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# Labelled classes indexed by 2 * predicted + actual.
+_CLASSES = np.array(["TN", "FN", "FP", "TP"])
+
+
 def _figure_rows(cfg: dict, ms: MultiSeries, figure: str):
-    pcfg = _pipeline_config(cfg, ms)
-    result = run_detection(ms, pcfg)
+    """(header, columns) of the bivariate or scores figure, one value per cloud row."""
+    result = run_detection(ms, _pipeline_config(cfg, ms))
     tm = result.matrix
-    truth = ground_truth(ms).flags if ms.has_labels() else None
-    corrected_from = {
-        d.corrected_from for d in result.detections if d.corrected_from is not None
-    }
-
-    def classify(row: int) -> str:
-        # final prediction (after neighbor correction); the pre-correction
-        # rows are marked through the neighbor column instead
-        predicted = bool(result.predicted[tm.row_index[row]])
-        if truth is None:
-            return "outlier" if predicted else "typical"
-        actual = bool(truth[tm.row_index[row]])
-        return {
-            (True, True): "TP",
-            (True, False): "FP",
-            (False, True): "FN",
-            (False, False): "TN",
-        }[(predicted, actual)]
-
+    # final prediction (after neighbor correction); the pre-correction
+    # rows are marked through the neighbor column instead
+    predicted = result.predicted[tm.row_index]
+    if ms.has_labels():
+        classes = _CLASSES[2 * predicted + ground_truth(ms).flags[tm.row_index]]
+    else:
+        classes = np.where(predicted, "outlier", "typical")
     if figure == "bivariate":
-        if len(tm.variables) < 2:
-            raise ConfigError("bivariate figure needs at least two variables")
-        vx, vy = tm.variables[0], tm.variables[1]
+        moved = [d.corrected_from for d in result.detections if d.corrected_from is not None]
+        neighbor = np.isin(tm.point_timestamps, moved).astype(int)
+        vx, vy = tm.variables[:2]
         header = [f"x_{vx}", f"y_{vy}", "class", "neighbor"]
-        rows = []
-        for row in range(len(tm.row_index)):
-            ts = int(tm.point_timestamps[row])
-            rows.append(
-                [
-                    float(tm.points[row, 0]),
-                    float(tm.points[row, 1]),
-                    classify(row),
-                    1 if ts in corrected_from else 0,
-                ]
-            )
-        return header, rows
-
-    if figure == "scores":
+        cols = [tm.points[:, 0], tm.points[:, 1], classes, neighbor]
+    else:
         header = ["timestamp", "score", "class"]
-        rows = [
-            [int(tm.point_timestamps[row]), float(result.scores.scores[row]), classify(row)]
-            for row in range(len(tm.row_index))
-        ]
-        return header, rows
-
-    raise ConfigError(f"unknown figure kind {figure!r}")
+        cols = [tm.point_timestamps, result.scores.scores, classes]
+    return header, [c.tolist() for c in cols]
 
 
 _SVG_COLORS = {
@@ -478,31 +453,28 @@ _SVG_COLORS = {
 }
 
 
-def _write_svg_scatter(header, rows, path, size: int = 640) -> None:
-    xs = np.asarray([r[0] for r in rows], dtype=float)
-    ys = np.asarray([r[1] for r in rows], dtype=float)
-    span_x = xs.max() - xs.min() or 1.0
-    span_y = ys.max() - ys.min() or 1.0
+def _write_svg_scatter(xs, ys, classes, path, size: int = 640) -> None:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     pad = 20
     scale = size - 2 * pad
+    px = pad + (xs - xs.min()) / (xs.max() - xs.min() or 1.0) * scale
+    py = size - pad - (ys - ys.min()) / (ys.max() - ys.min() or 1.0) * scale
+    circle = '<circle cx="{:.1f}" cy="{:.1f}" r="2.5" fill="{}"/>'.format
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
+        *map(circle, px.tolist(), py.tolist(), map(_SVG_COLORS.__getitem__, classes)),
+        "</svg>",
     ]
-    for r in rows:
-        px = pad + (r[0] - xs.min()) / span_x * scale
-        py = size - pad - (r[1] - ys.min()) / span_y * scale
-        color = _SVG_COLORS.get(r[2], "#2ca02c")
-        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>')
-    parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
 
 def cmd_plotdata(args) -> int:
-    import csv as _csv
-
     cfg = load_config(args.config)
     ms = _ingest(args, cfg)
+    if args.figure == "bivariate" and len(_variables(cfg, ms)) < 2:
+        raise ConfigError("bivariate figure needs at least two variables")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{args.figure}.csv"
@@ -510,14 +482,11 @@ def cmd_plotdata(args) -> int:
         emit_csv(ms, out)
         log.info("wrote %d rows to %s", len(ms), out)
         return EXIT_OK
-    header, rows = _figure_rows(cfg, ms, args.figure)
-    with open(out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    header, cols = _figure_rows(cfg, ms, args.figure)
+    write_csv(out, header, zip(*cols))
     if args.svg and args.figure == "bivariate":
-        _write_svg_scatter(header, rows, out_dir / "bivariate.svg")
-    log.info("wrote %d rows to %s", len(rows), out)
+        _write_svg_scatter(*cols[:3], out_dir / "bivariate.svg")
+    log.info("wrote %d rows to %s", len(cols[0]), out)
     return EXIT_OK
 
 

@@ -406,6 +406,14 @@ def float_cells(values) -> list[str]:
     return ["" if math.isnan(v) else repr(v) for v in np.asarray(values, np.float64).tolist()]
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows``, in the default ``csv`` dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_csv(ms: MultiSeries, path) -> None:
     """Write a MultiSeries in the exact shape ``ingest_csv`` reads back."""
     labelled = [s for s in ms.series if s.labels is not None]
@@ -415,10 +423,7 @@ def emit_csv(ms: MultiSeries, path) -> None:
     cols = [stamps.tolist()]
     cols += [float_cells(s.values) for s in ms.series]
     cols += [[str(x) for x in s.labels.tolist()] for s in labelled]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+    write_csv(path, header, zip(*cols))
 
 
 # ---------------------------------------------------------------------------

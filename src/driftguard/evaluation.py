@@ -12,7 +12,6 @@ method, one ``knn`` call. Each combo then runs only the per-method stages of
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GroundTruthVector, MultiSeries, ground_truth
+from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
 from .errors import ConfigError, DataError, DriftguardError
 from .neighbors import NeighborLists, knn
 from .pipeline import PipelineConfig, PreparedCloud, detect_on_cloud, prepare_cloud
@@ -301,35 +300,34 @@ def _fmt(x: float, places: int = 4) -> str:
 
 def write_report_csv(reports: Sequence[EvaluationReport], path) -> None:
     """Emit the ranked grid in the fixed report column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for i, rep in enumerate(reports, start=1):
-            if rep.cm is None or rep.metric_set is None:
-                row = [
-                    i, rep.combo.variables_id, rep.combo.transform.value,
-                    rep.combo.method.value,
-                ] + ["NaN"] * 13
-            else:
-                m = rep.metric_set
-                t = rep.timing
-                row = [
-                    i,
-                    rep.combo.variables_id,
-                    rep.combo.transform.value,
-                    rep.combo.method.value,
-                    rep.cm.tn,
-                    rep.cm.fn,
-                    rep.cm.fp,
-                    rep.cm.tp,
-                    _fmt(m.accuracy),
-                    _fmt(m.er),
-                    _fmt(m.gm),
-                    _fmt(m.op),
-                    _fmt(m.ppv),
-                    _fmt(m.npv),
-                    _fmt(t.min_t, 2) if t else "",
-                    _fmt(t.mu_t, 2) if t else "",
-                    _fmt(t.max_t, 2) if t else "",
-                ]
-            writer.writerow(row)
+    rows = []
+    for i, rep in enumerate(reports, start=1):
+        if rep.cm is None or rep.metric_set is None:
+            row = [
+                i, rep.combo.variables_id, rep.combo.transform.value,
+                rep.combo.method.value,
+            ] + ["NaN"] * 13
+        else:
+            m = rep.metric_set
+            t = rep.timing
+            row = [
+                i,
+                rep.combo.variables_id,
+                rep.combo.transform.value,
+                rep.combo.method.value,
+                rep.cm.tn,
+                rep.cm.fn,
+                rep.cm.fp,
+                rep.cm.tp,
+                _fmt(m.accuracy),
+                _fmt(m.er),
+                _fmt(m.gm),
+                _fmt(m.op),
+                _fmt(m.ppv),
+                _fmt(m.npv),
+                _fmt(t.min_t, 2) if t else "",
+                _fmt(t.mu_t, 2) if t else "",
+                _fmt(t.max_t, 2) if t else "",
+            ]
+        rows.append(row)
+    write_csv(path, REPORT_COLUMNS, rows)

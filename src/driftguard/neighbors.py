@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,6 +60,7 @@ class PointCloud:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
     def diameter_bound(self) -> float:
         """Cheap upper bound on the cloud diameter (bounding-box diagonal)."""
         span = self.points.max(axis=0) - self.points.min(axis=0)

@@ -8,6 +8,7 @@ report can still list every rule hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -57,6 +58,7 @@ class RuleFlags:
     negative: np.ndarray  # (n, d) bool
     missing_gap: np.ndarray  # (n,) bool
 
+    @cached_property
     def any_at_timestamp(self) -> np.ndarray:
         """Per-timestamp: did any rule fire here."""
         return self.out_of_range.any(axis=1) | self.negative.any(axis=1) | self.missing_gap

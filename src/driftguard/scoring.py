@@ -100,7 +100,7 @@ class ScoreVector:
 
 def _density_floor(cloud: PointCloud) -> float:
     """Machine-epsilon-scaled floor keeping degenerate ratios finite."""
-    return float(np.finfo(np.float64).eps * max(cloud.diameter_bound(), 1.0))
+    return float(np.finfo(np.float64).eps * max(cloud.diameter_bound, 1.0))
 
 
 def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:

@@ -12,13 +12,13 @@ the first score above it flags itself and everything larger.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import write_csv
 from .errors import ConfigError, DataError
 from .rules import RuleFlags
 
@@ -57,12 +57,13 @@ class ThresholdTrace:
     note: str = ""
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "tested_score", "cutoff", "spacing_scale", "decision"])
-            floats = (self.tested_scores, self.cutoffs, self.spacing_scales)
-            cols = [map(repr, np.asarray(a, np.float64).tolist()) for a in floats]
-            writer.writerows(zip(itertools.count(), *cols, self.decisions))
+        floats = (self.tested_scores, self.cutoffs, self.spacing_scales)
+        cols = [map(repr, np.asarray(a, np.float64).tolist()) for a in floats]
+        write_csv(
+            path,
+            ["iteration", "tested_score", "cutoff", "spacing_scale", "decision"],
+            zip(itertools.count(), *cols, self.decisions),
+        )
 
 
 def _effective_tail_count(cfg: ThresholdConfig, typical_size: int) -> int:
@@ -142,7 +143,7 @@ def combine_flags(
             rule_flags.timestamps, timestamps
         ):
             raise DataError("rule flags do not align with the timestamp vector")
-        pred |= rule_flags.any_at_timestamp()
+        pred |= rule_flags.any_at_timestamp
     wanted = np.unique(np.fromiter(outlier_timestamps, dtype=np.int64))
     if wanted.size:
         pos = np.searchsorted(timestamps, wanted)

@@ -408,3 +408,91 @@ def ref_ingest_csv(path, variables=None, site=""):
         for v in wanted
     )
     return MultiSeries(site=site or str(path), series=series)
+
+
+# ---------------------------------------------------------------------------
+# plot-data figures: one cloud row at a time, and an SVG writer that walks the
+# rows. The library builds whole columns and places every circle at once.
+# ---------------------------------------------------------------------------
+
+
+def ref_figure_rows(cfg, ms, figure):
+    """(header, rows) of the bivariate or scores figure, built per cloud row."""
+    from driftguard.cli import _pipeline_config
+    from driftguard.core import ground_truth
+    from driftguard.errors import ConfigError
+    from driftguard.pipeline import run_detection
+
+    pcfg = _pipeline_config(cfg, ms)
+    result = run_detection(ms, pcfg)
+    tm = result.matrix
+    truth = ground_truth(ms).flags if ms.has_labels() else None
+    corrected_from = {
+        d.corrected_from for d in result.detections if d.corrected_from is not None
+    }
+
+    def classify(row):
+        predicted = bool(result.predicted[tm.row_index[row]])
+        if truth is None:
+            return "outlier" if predicted else "typical"
+        actual = bool(truth[tm.row_index[row]])
+        return {
+            (True, True): "TP",
+            (True, False): "FP",
+            (False, True): "FN",
+            (False, False): "TN",
+        }[(predicted, actual)]
+
+    if figure == "bivariate":
+        if len(tm.variables) < 2:
+            raise ConfigError("bivariate figure needs at least two variables")
+        vx, vy = tm.variables[0], tm.variables[1]
+        header = [f"x_{vx}", f"y_{vy}", "class", "neighbor"]
+        rows = []
+        for row in range(len(tm.row_index)):
+            ts = int(tm.point_timestamps[row])
+            rows.append(
+                [
+                    float(tm.points[row, 0]),
+                    float(tm.points[row, 1]),
+                    classify(row),
+                    1 if ts in corrected_from else 0,
+                ]
+            )
+        return header, rows
+
+    header = ["timestamp", "score", "class"]
+    rows = [
+        [int(tm.point_timestamps[row]), float(result.scores.scores[row]), classify(row)]
+        for row in range(len(tm.row_index))
+    ]
+    return header, rows
+
+
+_REF_SVG_COLORS = {
+    "TP": "#d62728", "FN": "#ff9896", "FP": "#1f77b4", "TN": "#7f7f7f",
+    "outlier": "#d62728", "typical": "#7f7f7f",
+}
+
+
+def ref_svg_scatter(header, rows, path, size=640):
+    """The bivariate scatter as SVG, one circle per row in row order."""
+    from pathlib import Path
+
+    xs = np.asarray([r[0] for r in rows], dtype=float)
+    ys = np.asarray([r[1] for r in rows], dtype=float)
+    span_x = xs.max() - xs.min() or 1.0
+    span_y = ys.max() - ys.min() or 1.0
+    pad = 20
+    scale = size - 2 * pad
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    for r in rows:
+        px = pad + (r[0] - xs.min()) / span_x * scale
+        py = size - pad - (r[1] - ys.min()) / span_y * scale
+        color = _REF_SVG_COLORS.get(r[2], "#2ca02c")
+        parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>')
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")

@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from driftguard import confusion, ground_truth, ingest_csv, run_detection
+from reference import ref_figure_rows, ref_svg_scatter
+
+from driftguard import (
+    MultiSeries,
+    SensorSeries,
+    confusion,
+    emit_csv,
+    ground_truth,
+    ingest_csv,
+    run_detection,
+)
 from driftguard.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _pipeline_config, load_config, main
 from driftguard.errors import ConfigError
 
@@ -420,6 +430,103 @@ class TestPlotDataCommand:
                      "--figure", "bivariate", "--out-dir", str(out), "--svg"]) == EXIT_OK
         svg = (out / "bivariate.svg").read_text()
         assert svg.startswith("<svg") and "<circle" in svg
+
+    def test_bivariate_needs_two_variables(self, tmp_path, caplog, monkeypatch):
+        cfg = write_config(tmp_path)
+        data = synth(tmp_path, cfg)
+        ran = []
+        monkeypatch.setattr("driftguard.cli.run_detection", lambda *a: ran.append(a))
+        out = tmp_path / "plots"
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"variables": ["turbidity"]}))
+        assert main(["plot-data", "--input", str(data), "--config", str(one),
+                     "--figure", "bivariate", "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "bivariate figure needs at least two variables" in caplog.text
+        assert not ran  # refused before detection runs
+        assert not out.exists()
+
+
+# Faults of three sizes: first_derivative KNN-SUM finds the two large ones,
+# misses the tiny one and flags one clean row; its differencing moves two
+# detections off the rows that flagged them.
+_FIGURE_SYNTH = {
+    "n_points": 400,
+    "gap_minutes": [10, 170],
+    "base": {
+        "turbidity": {"level": 20.0, "amplitude": 5.0, "period": 400.0, "noise_sd": 0.1},
+        "conductivity": {"level": 300.0, "amplitude": 40.0, "period": 600.0, "noise_sd": 1.5},
+    },
+    "faults": [
+        {"variable": "turbidity", "index": 100, "kind": "spike", "magnitude": 150},
+        {"variable": "conductivity", "index": 250, "kind": "drop", "magnitude": 200},
+        {"variable": "turbidity", "index": 320, "kind": "spike", "magnitude": 0.05},
+    ],
+}
+_FIGURE_COMBOS = [("first_derivative", "KNN-SUM"), ("one_sided_derivative", "COF")]
+
+
+@pytest.fixture(scope="module")
+def figure_inputs(tmp_path_factory):
+    """The same synth written with and without its label columns."""
+    root = tmp_path_factory.mktemp("figures")
+    labelled = synth(root, write_config(root, synth=_FIGURE_SYNTH))
+    ms = ingest_csv(labelled)
+    unlabelled = root / "unlabelled.csv"
+    emit_csv(MultiSeries(ms.site, tuple(
+        SensorSeries(s.name, s.timestamps, s.values) for s in ms.series
+    )), unlabelled)
+    return {True: labelled, False: unlabelled}
+
+
+def _plot_both(tmp_path, data, kind, method):
+    """Run plot-data's bivariate (with SVG) and scores figures; return (out_dir, config)."""
+    cfg = load_config(None)
+    cfg["variables"] = ["turbidity", "conductivity"]
+    cfg["transform"]["kind"] = kind
+    cfg["scoring"]["method"] = method
+    tmp_path.mkdir(exist_ok=True)
+    cfg_path = tmp_path / "figure.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "plots"
+    for figure, extra in (("bivariate", ["--svg"]), ("scores", [])):
+        assert main(["plot-data", "--input", str(data), "--config", str(cfg_path),
+                     "--figure", figure, "--out-dir", str(out), *extra]) == EXIT_OK
+    return out, cfg
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+@pytest.mark.parametrize("kind, method", _FIGURE_COMBOS)
+def test_figures_match_per_row_reference(tmp_path, figure_inputs, labelled, kind, method):
+    data = figure_inputs[labelled]
+    out, cfg = _plot_both(tmp_path, data, kind, method)
+    ms = ingest_csv(data)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for figure in ("bivariate", "scores"):
+        header, rows = ref_figure_rows(cfg, ms, figure)
+        with open(ref / f"{figure}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        if figure == "bivariate":
+            ref_svg_scatter(header, rows, ref / "bivariate.svg")
+    for name in ("bivariate.csv", "scores.csv", "bivariate.svg"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_figure_inputs_cover_every_class(tmp_path, figure_inputs):
+    classes = {True: set(), False: set()}
+    neighbors = 0
+    for labelled, data in figure_inputs.items():
+        for kind, method in _FIGURE_COMBOS:
+            out, _ = _plot_both(tmp_path / f"{labelled}-{kind}", data, kind, method)
+            bi = read_csv(out / "bivariate.csv")
+            classes[labelled] |= {r["class"] for r in bi}
+            neighbors += sum(r["neighbor"] == "1" for r in bi)
+            assert {r["class"] for r in read_csv(out / "scores.csv")} <= classes[labelled]
+    assert classes[True] == {"TP", "FP", "FN", "TN"}
+    assert classes[False] == {"outlier", "typical"}
+    assert neighbors >= 1
 
 
 class TestManifestReplay:

@@ -21,7 +21,7 @@ from driftguard import (
     write_report_csv,
 )
 from driftguard.errors import ConfigError
-from driftguard.evaluation import REPORT_COLUMNS
+from driftguard.evaluation import REPORT_COLUMNS, EvaluationReport, MetricSet, TimingStats
 
 
 class TestConfusion:
@@ -301,6 +301,43 @@ class TestGrid:
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[4:] == ["NaN"] * 13
+
+    def test_report_csv_exact_bytes(self, tmp_path):
+        pair = ("turbidity", "conductivity")
+        cm = ConfusionMatrix(tp=3, fp=2, fn=1, tn=94)
+        reports = [
+            EvaluationReport(
+                Combo(pair, TransformKind.FIRST_DERIVATIVE, Method.KNN_SUM), cm,
+                MetricSet(0.97, 0.03, 16.792855623746664, 0.72265625, 0.6, 0.9894736842105263),
+                TimingStats(1.234, 5.678, 10.0),
+            ),
+            EvaluationReport(
+                Combo(("level",), TransformKind.ORIGINAL, Method.COF), None, None, None,
+                error="boom",
+            ),
+            EvaluationReport(
+                Combo(pair, TransformKind.ONE_SIDED_DERIVATIVE, Method.LOF), cm,
+                MetricSet(0.5, 0.5, 2.0, 0.25, 0.125, 0.99995), None,
+            ),
+            EvaluationReport(
+                Combo(pair, TransformKind.LOG, Method.HDOUTLIERS), ConfusionMatrix(0, 0, 2, 98),
+                MetricSet(0.98, 0.02, 0.0, math.nan, math.nan, 0.98),
+                TimingStats(0.004, 0.005, 0.006),
+            ),
+        ]
+        out = tmp_path / "report.csv"
+        write_report_csv(reports, out)
+        assert out.read_bytes() == (
+            b"i,Variables,Transformation,Method,TN,FN,FP,TP,"
+            b"Accuracy,ER,GM,OP,PPV,NPV,min_t,mu_t,max_t\r\n"
+            b"1,turbidity-conductivity,first_derivative,KNN-SUM,94,1,2,3,"
+            b"0.9700,0.0300,16.7929,0.7227,0.6000,0.9895,1.23,5.68,10.00\r\n"
+            b"2,level,original,COF," + b",".join([b"NaN"] * 13) + b"\r\n"
+            b"3,turbidity-conductivity,one_sided_derivative,LOF,94,1,2,3,"
+            b"0.5000,0.5000,2.0000,0.2500,0.1250,1.0000,,,\r\n"
+            b"4,turbidity-conductivity,log,HDoutliers,98,2,0,0,"
+            b"0.9800,0.0200,0.0000,NaN,NaN,0.9800,0.00,0.01,0.01\r\n"
+        )
 
     def test_unlabeled_input_rejected(self):
         from conftest import make_multiseries

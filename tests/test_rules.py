@@ -35,7 +35,7 @@ def test_gap_exactly_at_limit_not_flagged():
 def test_clean_input_untouched():
     ms = make_multiseries({"turbidity": [1.0, 2.0, 3.0]}, gaps_minutes=[60, 90])
     flags, cleaned = apply_rules(ms, cfg_for(ms, ranges={"turbidity": (0.0, 10.0)}))
-    assert not flags.any_at_timestamp().any()
+    assert not flags.any_at_timestamp.any()
     np.testing.assert_array_equal(cleaned.get("turbidity").values, ms.get("turbidity").values)
 
 
@@ -62,7 +62,7 @@ def test_negative_allowed_when_disabled():
     ms = make_multiseries({"level": [-0.5, 1.0]})
     cfg = RuleConfig(ranges={"level": (-np.inf, np.inf)}, forbid_negative={"level": False})
     flags, cleaned = apply_rules(ms, cfg)
-    assert not flags.any_at_timestamp().any()
+    assert not flags.any_at_timestamp.any()
     assert cleaned.get("level").values[0] == -0.5
 
 

@@ -96,9 +96,18 @@ DEFAULT_CONFIG = {
 _VARIABLE_NODES = (("rules", "ranges"), ("transform", "sides"))
 
 # Config nodes whose keys are data-dependent (variable names), not fixed.
-# A user-supplied node replaces the default wholesale.
+# A user-supplied node replaces the default wholesale; each synth.base entry
+# is merged against _BASE_SIGNAL, so an omitted field takes its value there.
 _FREE_NODES = {*_VARIABLE_NODES, ("synth", "base")}
+_BASE_SIGNAL = {"level": 0.0, "amplitude": 0.0, "period": 500.0, "noise_sd": 0.0}
 
+# Kinds of the numeric leaves whose default is null; every other numeric
+# leaf takes its default's kind.
+_NULL_KINDS = {
+    ("scoring", "leader_radius"): float,
+    ("threshold", "tail_count"): int,
+    ("synth", "long_gap_at"): int,
+}
 
 # Leaf types a user value must match; numeric leaves go through _num instead.
 _LEAF_KINDS = {list: "a list", bool: "true or false", str: "a string"}
@@ -108,6 +117,8 @@ def _merge(defaults, user, path=()):
     if path in _FREE_NODES:
         if not isinstance(user, dict):
             raise ConfigError(f"{'.'.join(path)}: expected an object")
+        if path == ("synth", "base"):
+            return {var: _merge(_BASE_SIGNAL, spec, path + (var,)) for var, spec in user.items()}
         return copy.deepcopy(user)
     if isinstance(defaults, dict):
         if not isinstance(user, dict):
@@ -122,14 +133,21 @@ def _merge(defaults, user, path=()):
             else copy.deepcopy(defaults[key])
             for key in defaults
         }
-    kind = type(defaults)
+    if path in _NULL_KINDS and user is None:
+        return None
+    kind = _NULL_KINDS.get(path, type(defaults))
+    if kind in (int, float):
+        return _num(kind, user, ".".join(path))
     if kind in _LEAF_KINDS and not isinstance(user, kind):
         raise ConfigError(f"{'.'.join(path)}: expected {_LEAF_KINDS[kind]}, got {user!r}")
     return copy.deepcopy(user)
 
 
 def load_config(path: str | None) -> dict:
-    """Load and resolve a config file against the documented defaults."""
+    """Load and resolve a config file against the documented defaults.
+
+    Every numeric value comes back as its key's kind, int or float.
+    """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
@@ -180,36 +198,13 @@ def _rule_config(cfg: dict, variables) -> RuleConfig | None:
         ranges[var] = (_bound(pair[0], -math.inf, key), _bound(pair[1], math.inf, key))
     return RuleConfig(
         ranges=ranges,
-        max_gap_minutes=_num(float, rules["max_gap_minutes"], "rules.max_gap_minutes"),
+        max_gap_minutes=rules["max_gap_minutes"],
         forbid_negative=rules["forbid_negative"],
     )
 
 
 def _scoring_config(cfg: dict) -> ScoringConfig:
-    s = cfg["scoring"]
-    radius = s["leader_radius"]
-    return ScoringConfig(
-        method=Method.parse(s["method"]),
-        k=_num(int, s["k"], "scoring.k"),
-        leader_radius=None if radius is None else _num(float, radius, "scoring.leader_radius"),
-        rkof_bandwidth_scale=_num(
-            float, s["rkof_bandwidth_scale"], "scoring.rkof_bandwidth_scale"
-        ),
-        rkof_bandwidth_exponent=_num(
-            float, s["rkof_bandwidth_exponent"], "scoring.rkof_bandwidth_exponent"
-        ),
-        rkof_weight_sigma=_num(float, s["rkof_weight_sigma"], "scoring.rkof_weight_sigma"),
-    )
-
-
-def _threshold_config(cfg: dict) -> ThresholdConfig:
-    t = cfg["threshold"]
-    tail = t["tail_count"]
-    return ThresholdConfig(
-        alpha=_num(float, t["alpha"], "threshold.alpha"),
-        initial_fraction=_num(float, t["initial_fraction"], "threshold.initial_fraction"),
-        tail_count=None if tail is None else _num(int, tail, "threshold.tail_count"),
-    )
+    return ScoringConfig(**{**cfg["scoring"], "method": Method.parse(cfg["scoring"]["method"])})
 
 
 def _transform_kind(text: str) -> TransformKind:
@@ -231,21 +226,16 @@ def _ingest(args, cfg: dict) -> MultiSeries:
     return ms
 
 
-def _variables(cfg: dict, ms: MultiSeries) -> tuple[str, ...]:
-    wanted = tuple(cfg["variables"]) or ms.variables
-    for v in wanted:
+def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
+    variables = tuple(cfg["variables"]) or ms.variables
+    for v in variables:
         if v not in ms.variables:
             raise ConfigError(f"variable {v!r} not present in input (has {list(ms.variables)})")
-    return wanted
-
-
-def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
-    variables = _variables(cfg, ms)
     return PipelineConfig(
         variables=variables,
         transform=_transform_kind(cfg["transform"]["kind"]),
         scoring=_scoring_config(cfg),
-        threshold=_threshold_config(cfg),
+        threshold=ThresholdConfig(**cfg["threshold"]),
         rules=_rule_config(cfg, ms.variables),
         sides=cfg["transform"]["sides"] or None,
     )
@@ -264,22 +254,11 @@ def _fields(node, key: str, allowed: tuple[str, ...], required: tuple[str, ...] 
     return node
 
 
-_BASE_KEYS = ("level", "amplitude", "period", "noise_sd")
 _FAULT_KEYS = ("variable", "index", "kind", "magnitude")
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
     s = cfg["synth"]
-    base = {}
-    for var, spec in s["base"].items():
-        key = f"synth.base.{var}"
-        spec = _fields(spec, key, _BASE_KEYS)
-        base[var] = BaseSignal(
-            level=_num(float, spec.get("level", 0.0), f"{key}.level"),
-            amplitude=_num(float, spec.get("amplitude", 0.0), f"{key}.amplitude"),
-            period=_num(float, spec.get("period", 500.0), f"{key}.period"),
-            noise_sd=_num(float, spec.get("noise_sd", 0.0), f"{key}.noise_sd"),
-        )
     faults = []
     for i, f in enumerate(s["faults"]):
         key = f"synth.faults[{i}]"
@@ -293,19 +272,12 @@ def _synth_config(cfg: dict) -> SynthConfig:
     gap = s["gap_minutes"]
     if len(gap) != 2:
         raise ConfigError(f"synth.gap_minutes: expected [min, max], got {gap!r}")
-    long_gap_at = s["long_gap_at"]
-    return SynthConfig(
-        n_points=_num(int, s["n_points"], "synth.n_points"),
-        base=base,
-        gap_minutes=(
-            _num(int, gap[0], "synth.gap_minutes"),
-            _num(int, gap[1], "synth.gap_minutes"),
-        ),
-        faults=tuple(faults),
-        long_gap_at=None if long_gap_at is None else _num(int, long_gap_at, "synth.long_gap_at"),
-        long_gap_minutes=_num(int, s["long_gap_minutes"], "synth.long_gap_minutes"),
-        site=s["site"],
-    )
+    return SynthConfig(**{
+        **s,
+        "base": {var: BaseSignal(**spec) for var, spec in s["base"].items()},
+        "gap_minutes": tuple(_num(int, g, "synth.gap_minutes") for g in gap),
+        "faults": tuple(faults),
+    })
 
 
 def _write_manifest(cfg: dict, out_dir: Path, extra: dict | None = None) -> None:
@@ -317,24 +289,19 @@ def _write_manifest(cfg: dict, out_dir: Path, extra: dict | None = None) -> None
         fh.write("\n")
 
 
-def _parse_combo(spec: str) -> tuple[tuple[str, ...], TransformKind, Method]:
+def _parse_combo(spec: str) -> Combo:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(
             f"combo {spec!r} must look like vars,comma,separated:transform:method"
         )
     variables = tuple(v.strip() for v in parts[0].split(",") if v.strip())
-    if not variables:
-        raise ConfigError(f"combo {spec!r} has no variables")
-    return variables, _transform_kind(parts[1].strip()), Method.parse(parts[2])
+    return Combo(variables, _transform_kind(parts[1].strip()), Method.parse(parts[2]))
 
 
 def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
-    combos: list[Combo] = []
     if combo_flags:
-        for spec in combo_flags:
-            variables, kind, method = _parse_combo(spec)
-            combos.append(Combo(variables, kind, method))
+        combos = [_parse_combo(spec) for spec in combo_flags]
     else:
         grid = cfg["grid"]
         for vs in grid["variable_sets"]:
@@ -343,10 +310,11 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
         var_sets = [tuple(vs) for vs in grid["variable_sets"]] or [ms.variables]
         kinds = [_transform_kind(t) for t in grid["transforms"]]
         methods = [Method.parse(m) for m in grid["methods"]]
-        for vs in var_sets:
-            for kind in kinds:
-                for method in methods:
-                    combos.append(Combo(vs, kind, method))
+        combos = [
+            Combo(vs, kind, method) for vs in var_sets for kind in kinds for method in methods
+        ]
+        if not combos:
+            raise ConfigError("grid.transforms and grid.methods must each name at least one")
     for combo in combos:
         for v in combo.variables:
             if v not in ms.variables:
@@ -361,7 +329,7 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _num(int, cfg["seed"], "seed")
+    seed = args.seed if args.seed is not None else cfg["seed"]
     ms = synth_series(_synth_config(cfg), seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -396,12 +364,12 @@ def cmd_evaluate(args) -> int:
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
     combos = _combos(cfg, ms, args.combo)
-    reps = args.reps if args.reps is not None else _num(int, cfg["reps"], "reps")
+    reps = args.reps if args.reps is not None else cfg["reps"]
     reports = grid_evaluate(
         ms,
         combos,
         scoring_base=_scoring_config(cfg),  # method overridden per combo
-        threshold_cfg=_threshold_config(cfg),
+        threshold_cfg=ThresholdConfig(**cfg["threshold"]),
         rule_cfg=_rule_config(cfg, ms.variables),
         sides=cfg["transform"]["sides"] or None,
         repetitions=reps,
@@ -424,9 +392,9 @@ def cmd_evaluate(args) -> int:
 _CLASSES = np.array(["TN", "FN", "FP", "TP"])
 
 
-def _figure_rows(cfg: dict, ms: MultiSeries, figure: str):
+def _figure_rows(pcfg: PipelineConfig, ms: MultiSeries, figure: str):
     """(header, columns) of the bivariate or scores figure, one value per cloud row."""
-    result = run_detection(ms, _pipeline_config(cfg, ms))
+    result = run_detection(ms, pcfg)
     tm = result.matrix
     # final prediction (after neighbor correction); the pre-correction
     # rows are marked through the neighbor column instead
@@ -473,7 +441,8 @@ def _write_svg_scatter(xs, ys, classes, path, size: int = 640) -> None:
 def cmd_plotdata(args) -> int:
     cfg = load_config(args.config)
     ms = _ingest(args, cfg)
-    if args.figure == "bivariate" and len(_variables(cfg, ms)) < 2:
+    pcfg = _pipeline_config(cfg, ms)
+    if args.figure == "bivariate" and len(pcfg.variables) < 2:
         raise ConfigError("bivariate figure needs at least two variables")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -482,7 +451,7 @@ def cmd_plotdata(args) -> int:
         emit_csv(ms, out)
         log.info("wrote %d rows to %s", len(ms), out)
         return EXIT_OK
-    header, cols = _figure_rows(cfg, ms, args.figure)
+    header, cols = _figure_rows(pcfg, ms, args.figure)
     write_csv(out, header, zip(*cols))
     if args.svg and args.figure == "bivariate":
         _write_svg_scatter(*cols[:3], out_dir / "bivariate.svg")

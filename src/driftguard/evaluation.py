@@ -24,7 +24,13 @@ import numpy as np
 from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
 from .errors import ConfigError, DataError, DriftguardError
 from .neighbors import NeighborLists, knn
-from .pipeline import PipelineConfig, PreparedCloud, detect_on_cloud, prepare_cloud
+from .pipeline import (
+    PipelineConfig,
+    PreparedCloud,
+    detect_on_cloud,
+    distinct_variables,
+    prepare_cloud,
+)
 from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
 from .transforms import TransformKind
@@ -131,6 +137,9 @@ class Combo:
     variables: tuple[str, ...]
     transform: TransformKind
     method: Method
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", distinct_variables(self.variables, "combo"))
 
     @property
     def variables_id(self) -> str:

@@ -26,6 +26,17 @@ from .threshold import ThresholdConfig, ThresholdTrace, combine_flags, evt_flag
 from .transforms import Side, TransformKind, TransformedMatrix, build_matrix
 
 
+def distinct_variables(variables, owner: str) -> tuple[str, ...]:
+    """``variables`` as a tuple; a ConfigError if it is empty or names a variable twice."""
+    variables = tuple(variables)
+    if not variables:
+        raise ConfigError(f"{owner} needs at least one variable")
+    repeated = sorted({v for v in variables if variables.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{owner} names variable(s) {repeated} more than once")
+    return variables
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one detection run needs; rules=None skips the rule stage."""
@@ -38,9 +49,7 @@ class PipelineConfig:
     sides: Mapping[str, Side | str] | None = None
 
     def __post_init__(self):
-        if not self.variables:
-            raise ConfigError("pipeline needs at least one variable")
-        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "variables", distinct_variables(self.variables, "pipeline"))
 
 
 @dataclass(frozen=True)

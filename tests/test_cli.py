@@ -176,6 +176,22 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["detect", "plot-data"])
+    def test_repeated_variable_is_config_error(self, tmp_path, caplog, command):
+        data = synth(tmp_path, write_config(tmp_path))
+        cfg = write_config(tmp_path, variables=["turbidity", "turbidity"])
+        args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        if command == "plot-data":
+            args += ["--figure", "scores"]
+        assert main(args) == EXIT_CONFIG
+        assert "['turbidity'] more than once" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_number_is_refused_before_the_input_is_read(self, tmp_path):
+        cfg = write_config(tmp_path, threshold={"alpha": "x"})
+        code = main(["detect", "--input", str(tmp_path / "none.csv"), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+
 
 class TestEvaluateCommand:
     def grid_config(self, tmp_path):
@@ -307,6 +323,41 @@ class TestEvaluateCommand:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            (":original:LOF", "combo needs at least one variable"),
+            ("turbidity,turbidity:original:LOF", "combo names variable(s) ['turbidity'] more than once"),
+        ],
+        ids=["no-variables", "repeated-variable"],
+    )
+    def test_combo_flag_variables_are_checked(self, tmp_path, caplog, spec, named):
+        cfg = write_config(tmp_path)
+        data = synth(tmp_path, cfg)
+        out = tmp_path / "ev"
+        code = main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out), "--combo", spec])
+        assert code == EXIT_CONFIG
+        assert named in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ({"variable_sets": [[]]}, "combo needs at least one variable"),
+            ({"methods": []}, "grid.methods"),
+            ({"transforms": []}, "grid.transforms"),
+            ({"variable_sets": [["turbidity", "turbidity"]]}, "combo names variable(s) ['turbidity'] more than once"),
+        ],
+        ids=["empty-variable-set", "no-methods", "no-transforms", "repeated-variable"],
+    )
+    def test_grid_selecting_no_combo_or_repeating_a_variable_is_config_error(self, tmp_path, caplog, grid, named):
+        data = synth(tmp_path, write_config(tmp_path))
+        cfg = write_config(tmp_path, grid=grid)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert named in caplog.text
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command, section, key, value",
@@ -393,6 +444,35 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
     assert main(args) == EXIT_CONFIG
     assert named in caplog.text
     assert "Traceback" not in caplog.text
+    assert not out.exists()
+
+
+# Every numeric leaf of the config; the null-default ones take their kind from cli._NULL_KINDS.
+NUMERIC_KEYS = [
+    "scoring.k", "scoring.leader_radius", "scoring.rkof_bandwidth_scale",
+    "scoring.rkof_bandwidth_exponent", "scoring.rkof_weight_sigma",
+    "threshold.alpha", "threshold.initial_fraction", "threshold.tail_count",
+    "rules.max_gap_minutes",
+    "synth.n_points", "synth.long_gap_at", "synth.long_gap_minutes",
+    "seed", "reps",
+]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_detect_checks_every_numeric_key(tmp_path, caplog, key):
+    """Keys detect never reads (seed, reps, synth.*) are checked as well."""
+    cfg_path = write_config(tmp_path)
+    data = synth(tmp_path, cfg_path)
+    raw = json.loads(cfg_path.read_text())
+    *sections, leaf = key.split(".")
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = "x"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["detect", "--input", str(data), "--config", str(cfg_path), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"{key}: expected" in caplog.text
     assert not out.exists()
 
 
@@ -550,6 +630,33 @@ class TestManifestReplay:
         assert (out1 / "detections.csv").read_bytes() == (out2 / "detections.csv").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+    def test_manifest_echoes_each_number_in_its_keys_kind(self, tmp_path):
+        cfg = write_config(tmp_path, scoring={"k": 10.0}, rules={"max_gap_minutes": 240})
+        data = synth(tmp_path, cfg)
+        out1, out2 = tmp_path / "orig", tmp_path / "replay"
+        assert main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out1)]) == EXIT_OK
+        text = (out1 / "manifest.json").read_text()
+        assert '"k": 10,' in text
+        assert '"max_gap_minutes": 240.0,' in text
+        code = main(["detect", "--input", str(data), "--config", str(out1 / "manifest.json"), "--out-dir", str(out2)])
+        assert code == EXIT_OK
+        for name in ("manifest.json", "detections.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_synth_base_entry_is_filled_and_checked(self, tmp_path, caplog):
+        data = synth(tmp_path, write_config(tmp_path))
+        cfg = write_config(tmp_path, synth={"base": {"turbidity": {"level": 3}}})
+        out = tmp_path / "o"
+        assert main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        base = json.loads((out / "manifest.json").read_text())["config"]["synth"]["base"]
+        assert base == {"turbidity": {"level": 3.0, "amplitude": 0.0, "period": 500.0, "noise_sd": 0.0}}
+        assert type(base["turbidity"]["level"]) is float
+        cfg = write_config(tmp_path, synth={"base": {"turbidity": {"level": 3, "levle": 3}}})
+        out = tmp_path / "bad"
+        assert main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "['levle'] under synth.base.turbidity" in caplog.text
+        assert not out.exists()
 
     def test_manifest_replays_as_config(self, tmp_path):
         cfg = write_config(tmp_path)

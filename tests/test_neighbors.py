@@ -81,7 +81,7 @@ class TestKnn:
             np.testing.assert_array_equal(nl.distances, rdist)
 
     def test_matches_bruteforce_with_many_duplicates(self, rng):
-        # heavy ties exercise the full-scan fallback
+        # heavy ties exercise the widened windows of rows tied at the edge
         base = rng.integers(0, 4, (80, 2)).astype(float)
         nl = knn(PointCloud(base), 10)
         ridx, rdist = ref.ref_knn(base, 10)

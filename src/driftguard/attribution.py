@@ -1,6 +1,9 @@
 """Post-detection analysis: responsible variable, direction, neighbor correction.
 
-Every flagged cloud row is attributed in one pass over whole columns:
+Every flagged cloud row is attributed in one pass over whole columns, in two
+steps. ``locate_flags`` decides where each detection lands; the evaluation
+grid needs only that. ``describe_flags`` then names its variable, direction
+and notes, for the outputs that report them.
 
 - The variable is the one with the largest robustly scaled deviation from
   the median of the unflagged rows. Near-ties break by variable order and
@@ -70,24 +73,61 @@ def _local_deviation(trio: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(trio).all(axis=1), dev, -np.inf)
 
 
-def attribute_detections(
-    tm: TransformedMatrix,
-    ms: MultiSeries,
-    evt_flags: np.ndarray,
-    scores: np.ndarray,
-) -> list[Detection]:
-    """Turn per-row threshold flags into attributed detections.
+@dataclass(frozen=True)
+class FlagLocations:
+    """Where the detection of each flagged cloud row lands; see ``locate_flags``.
 
-    evt_flags/scores align with the matrix's cloud rows; the typical median
-    is taken over the rows the threshold left unflagged.
+    Row arrays align with ``rows``, the flagged cloud rows in order.
+    """
+
+    rows: np.ndarray  # flagged cloud rows
+    at: np.ndarray  # their series rows
+    index: np.ndarray  # the series row each detection lands on: at, or at - 1 if corrected
+    col: np.ndarray  # responsible column
+    dev: np.ndarray  # (m, d) deviations from the typical centre, in robust scales
+    # differencing kinds only: local deviations of the readings at at-1 and at
+    candidate_dev: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _series_values(tm: TransformedMatrix, ms: MultiSeries) -> np.ndarray:
+    return np.column_stack([ms.get(var).values for var in tm.variables])
+
+
+def locate_flags(tm: TransformedMatrix, ms: MultiSeries, evt_flags: np.ndarray) -> FlagLocations:
+    """The eager half of attribution: each flag's responsible column and corrected row.
+
+    evt_flags aligns with the matrix's cloud rows; the typical median is
+    taken over the rows the threshold left unflagged.
     """
     flagged = np.nonzero(evt_flags)[0]
     if flagged.size == 0:
-        return []
+        empty = np.empty(0, dtype=np.int64)
+        return FlagLocations(flagged, empty, empty, empty, np.empty((0, tm.points.shape[1])))
     typical = tm.points[~evt_flags]
     med, scale = typical_center(typical if len(typical) else tm.points)
     dev = np.abs(tm.points[flagged] - med) / (scale + MAD_EPS)
     col = np.argmax(dev, axis=1)  # ties break by variable order
+    at = tm.row_index[flagged]
+    if tm.kind not in DIFFERENCING_KINDS:
+        return FlagLocations(flagged, at, at, col, dev)
+    # every differencing cell needs a predecessor, so at - 1 >= 0
+    values = _series_values(tm, ms)
+    dev_before = _local_deviation(_trios(values, at - 1, col))
+    dev_at = _local_deviation(_trios(values, at, col))
+    moved = dev.any(axis=1) & (dev_before > dev_at)
+    return FlagLocations(flagged, at, np.where(moved, at - 1, at), col, dev, (dev_before, dev_at))
+
+
+def describe_flags(
+    loc: FlagLocations, tm: TransformedMatrix, ms: MultiSeries, scores: np.ndarray
+) -> list[Detection]:
+    """The lazy half of attribution: variable, direction and notes, as Detections.
+
+    ``scores`` aligns with the matrix's cloud rows.
+    """
+    if loc.rows.size == 0:
+        return []
+    dev, idx = loc.dev, loc.index
     known = dev.any(axis=1)
     tie = (dev >= dev.max(axis=1)[:, None] * (1.0 - 1e-9)).sum(axis=1) > 1
     var_note = np.select(
@@ -95,26 +135,18 @@ def attribute_detections(
         ["no deviation from typical median", "near-tie across variables; broken by variable order"],
         "",
     )
-
-    values = np.column_stack([ms.get(var).values for var in tm.variables])
-    at = tm.row_index[flagged]
-    trio = _trios(values, at, col)
-    moved = np.zeros(len(flagged), dtype=bool)
-    corr_note = np.full(len(flagged), "")
-    if tm.kind in DIFFERENCING_KINDS:
-        # every differencing cell needs a predecessor, so at - 1 >= 0
-        before = _trios(values, at - 1, col)
-        dev_before, dev_at = _local_deviation(before), _local_deviation(trio)
-        moved = known & (dev_before > dev_at)
-        trio = np.where(moved[:, None], before, trio)
+    corr_note = np.full(len(idx), "")
+    if loc.candidate_dev is not None:
+        dev_before, dev_at = loc.candidate_dev
         corr_note = np.select(
             [~known, np.maximum(dev_before, dev_at) == -np.inf, dev_before == dev_at],
             ["", "no candidate has a two-sided neighborhood",
              "equal candidate deviations; kept original index"],
             "",
         )
-    idx = np.where(moved, at - 1, at)
 
+    values = _series_values(tm, ms)
+    trio = _trios(values, idx, loc.col)
     complete = np.isfinite(trio).all(axis=1)
     with np.errstate(invalid="ignore"):
         mean = trio.mean(axis=1)
@@ -129,17 +161,30 @@ def attribute_detections(
          "point equals its local mean"],
         "",
     )
-    variable = np.where(known, np.asarray(tm.variables)[col], INDETERMINATE)
+    variable = np.where(known, np.asarray(tm.variables)[loc.col], INDETERMINATE)
 
     ts = ms.timestamps
     return [
         Detection(t, var, d, s, "evt", orig if m else None, "; ".join(filter(None, notes)))
         for t, var, d, s, orig, m, *notes in zip(
-            ts[idx].tolist(), variable.tolist(), direction.tolist(), scores[flagged].tolist(),
-            ts[at].tolist(), moved.tolist(),
+            ts[idx].tolist(), variable.tolist(), direction.tolist(), scores[loc.rows].tolist(),
+            ts[loc.at].tolist(), (idx != loc.at).tolist(),
             var_note.tolist(), corr_note.tolist(), dir_note.tolist(),
         )
     ]
+
+
+def attribute_detections(
+    tm: TransformedMatrix,
+    ms: MultiSeries,
+    evt_flags: np.ndarray,
+    scores: np.ndarray,
+) -> list[Detection]:
+    """Turn per-row threshold flags into attributed detections: locate, then describe.
+
+    evt_flags/scores align with the matrix's cloud rows.
+    """
+    return describe_flags(locate_flags(tm, ms, evt_flags), tm, ms, scores)
 
 
 _CSV_FIELDS = ("timestamp", "variable", "direction", "score", "trigger", "corrected_from")

@@ -37,7 +37,7 @@ from .pipeline import PipelineConfig, run_detection
 from .rules import RuleConfig
 from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
-from .transforms import TransformKind
+from .transforms import Side, TransformKind
 
 log = logging.getLogger(__name__)
 
@@ -161,7 +161,40 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}: top level must be an object")
     if user.get("package") == "driftguard" and isinstance(user.get("config"), dict):
         user = user["config"]  # a run manifest replays as its own config
-    return _merge(DEFAULT_CONFIG, user)
+    cfg = _merge(DEFAULT_CONFIG, user)
+    _check_values(cfg)
+    return cfg
+
+
+def _keyed(key: str, parse, value):
+    """``parse(value)``, its ConfigError prefixed with the dotted key."""
+    try:
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _check_values(cfg: dict) -> None:
+    """Parse every method, transform, side tag and range bound of ``cfg``.
+
+    So every command refuses a bad one before it reads its input, whether or
+    not it uses it. ``cfg`` is left as it is: the manifest echoes these
+    values as typed.
+    """
+    _keyed("transform.kind", _transform_kind, cfg["transform"]["kind"])
+    _keyed("scoring.method", Method.parse, cfg["scoring"]["method"])
+    for var, tag in cfg["transform"]["sides"].items():
+        _keyed(f"transform.sides.{var}", _side, tag)
+    for var, pair in cfg["rules"]["ranges"].items():
+        _range(pair, f"rules.ranges.{var}")
+    grid = cfg["grid"]
+    for i, vs in enumerate(grid["variable_sets"]):
+        if not isinstance(vs, list):
+            raise ConfigError(f"grid.variable_sets[{i}]: expected a list of variables, got {vs!r}")
+    for i, kind in enumerate(grid["transforms"]):
+        _keyed(f"grid.transforms[{i}]", _transform_kind, kind)
+    for i, method in enumerate(grid["methods"]):
+        _keyed(f"grid.methods[{i}]", Method.parse, method)
 
 
 def _num(kind: type, value, key: str):
@@ -185,17 +218,21 @@ def _bound(x, default: float, key: str) -> float:
     return default if x is None else _num(float, x, key)
 
 
+def _range(pair, key: str) -> tuple[float, float]:
+    """A ``rules.ranges`` entry as (min, max); a null bound is unbounded."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{key}: expected [min, max], got {pair!r}")
+    return _bound(pair[0], -math.inf, key), _bound(pair[1], math.inf, key)
+
+
 def _rule_config(cfg: dict, variables) -> RuleConfig | None:
     rules = cfg["rules"]
     if not rules["enabled"]:
         return None
-    ranges = {}
-    for var in variables:
-        pair = rules["ranges"].get(var, [None, None])
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"rules.ranges.{var}: expected [min, max]")
-        key = f"rules.ranges.{var}"
-        ranges[var] = (_bound(pair[0], -math.inf, key), _bound(pair[1], math.inf, key))
+    ranges = {
+        var: _range(rules["ranges"].get(var, [None, None]), f"rules.ranges.{var}")
+        for var in variables
+    }
     return RuleConfig(
         ranges=ranges,
         max_gap_minutes=rules["max_gap_minutes"],
@@ -212,6 +249,13 @@ def _transform_kind(text: str) -> TransformKind:
         return TransformKind(text)
     except ValueError:
         raise ConfigError(f"unknown transform kind {text!r}") from None
+
+
+def _side(tag: str) -> Side:
+    try:
+        return Side(tag)
+    except ValueError:
+        raise ConfigError(f"unknown side tag {tag!r}") from None
 
 
 def _ingest(args, cfg: dict) -> MultiSeries:
@@ -304,9 +348,6 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
         combos = [_parse_combo(spec) for spec in combo_flags]
     else:
         grid = cfg["grid"]
-        for vs in grid["variable_sets"]:
-            if not isinstance(vs, list):
-                raise ConfigError(f"grid.variable_sets: expected lists of variables, got {vs!r}")
         var_sets = [tuple(vs) for vs in grid["variable_sets"]] or [ms.variables]
         kinds = [_transform_kind(t) for t in grid["transforms"]]
         methods = [Method.parse(m) for m in grid["methods"]]

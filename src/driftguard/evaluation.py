@@ -5,9 +5,10 @@ sensitivity and specificity; it is the headline ranking metric. 0/0 ratios are
 reported as NaN rather than coerced.
 
 The grid is evaluated by cloud: combos sharing (variables, transform) share
-one rules -> transform -> normalize build and, if any of them is a kNN
-method, one ``knn`` call. Each combo then runs only the per-method stages of
-``pipeline.detect_on_cloud`` on that shared cloud.
+one rules -> transform -> normalize build, one ``knn`` call if any of them
+is a kNN method and one Leader clustering if any is HDoutliers. Each combo
+then runs only the per-method stages of ``pipeline.detect_on_cloud`` on that
+shared cloud, and reads its prediction; no flag is ever described.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
 from .errors import ConfigError, DataError, DriftguardError
-from .neighbors import NeighborLists, knn
+from .neighbors import LeaderClustering, NeighborLists, knn
 from .pipeline import (
     PipelineConfig,
     PreparedCloud,
@@ -31,7 +32,7 @@ from .pipeline import (
     distinct_variables,
     prepare_cloud,
 )
-from .scoring import Method, ScoringConfig
+from .scoring import Method, ScoringConfig, leader_clustering
 from .threshold import ThresholdConfig
 from .transforms import TransformKind
 
@@ -174,8 +175,10 @@ class _Cloud:
     pcfg: PipelineConfig | None = None
     prepared: PreparedCloud | None = None
     nl: NeighborLists | None = None
+    clustering: LeaderClustering | None = None
     build_ms: float = 0.0  # rules + transform + normalize
     knn_ms: float = 0.0
+    leader_ms: float = 0.0
     error: str | None = None
 
 
@@ -205,16 +208,19 @@ def grid_evaluate(
 
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Combos sharing (variables, transform) share one cloud: rules ->
-    transform -> normalize run once for them, and ``knn`` once if any of
-    them is a kNN method. Every report counts the same predictions as
-    ``run_detection`` would for its combo.
+    transform -> normalize run once for them, ``knn`` once if any of them
+    is a kNN method, and the Leader clustering once if any is HDoutliers.
+    Every report counts the same predictions as ``run_detection`` would for
+    its combo.
 
-    Timing: each combo's per-method stages (score -> threshold ->
-    attribution -> combine) run once untimed, which supplies the confusion
-    matrix, then ``repetitions`` times timed. ``min_t/mu_t/max_t`` are
-    those samples plus the group's one-off build, measured once: rules +
-    transform + normalize, plus ``knn`` for the kNN methods. So each still
-    reads as the chain from the raw series.
+    Timing: each combo's per-method stages (score -> EVT threshold -> flag
+    location -> combine) run once untimed, which supplies the confusion
+    matrix, then ``repetitions`` times timed. No flag is described: the
+    grid never reads ``DetectionResult.detections``. ``min_t/mu_t/max_t``
+    are those samples plus the group's one-off build, measured once: rules
+    + transform + normalize, plus ``knn`` for the kNN methods or the Leader
+    clustering for HDoutliers. So each still reads as the chain from the
+    raw series.
 
     Per-combo failures are captured in the report rather than aborting the
     grid; too few repetitions is refused before any combo runs. NaN-OP and
@@ -225,6 +231,7 @@ def grid_evaluate(
     truth = ground_truth(ms)
     workers = max_workers or thread_cap() or min(4, len(combos)) or 1
     knn_keys = {_cloud_key(c) for c in combos if c.method is not Method.HDOUTLIERS}
+    leader_keys = {_cloud_key(c) for c in combos if c.method is Method.HDOUTLIERS}
 
     def build(key) -> _Cloud:
         variables, transform = key
@@ -250,7 +257,15 @@ def grid_evaluate(
             except DriftguardError:
                 pass  # each kNN combo's own score() call then fails as run_detection does
             knn_ms = (time.perf_counter() - start) * 1000.0
-        return _Cloud(pcfg, prepared, nl, build_ms, knn_ms)
+        clustering, leader_ms = None, 0.0
+        if key in leader_keys:
+            start = time.perf_counter()
+            try:
+                clustering = leader_clustering(prepared.cloud, scoring_base)
+            except DriftguardError:
+                pass  # as for knn: each HDoutliers combo's score() call then fails
+            leader_ms = (time.perf_counter() - start) * 1000.0
+        return _Cloud(pcfg, prepared, nl, clustering, build_ms, knn_ms, leader_ms)
 
     # Every cloud is built before any combo runs. The pool's unit is then the
     # combo, in the caller's order: with the cloud as the unit, workers would
@@ -267,15 +282,15 @@ def grid_evaluate(
             first = []
 
             def run():
-                result = detect_on_cloud(ms, group.prepared, pcfg, group.nl)
+                result = detect_on_cloud(ms, group.prepared, pcfg, group.nl, group.clustering)
                 if not first:
                     first.append(result)
 
             # benchmark's untimed warm-up run supplies the confusion matrix.
             stages = benchmark(run, repetitions)
-            one_off = group.build_ms
-            if combo.method is not Method.HDOUTLIERS:
-                one_off += group.knn_ms
+            one_off = group.build_ms + (
+                group.leader_ms if combo.method is Method.HDOUTLIERS else group.knn_ms
+            )
             timing = TimingStats(
                 stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off
             )

@@ -3,23 +3,26 @@
 The chain has two halves. ``prepare_cloud`` builds what depends only on the
 variables, the transform and the rules: rule flags, the transformed matrix
 and its normalized cloud. ``detect_on_cloud`` runs the per-method stages on
-that: score -> EVT threshold -> attribution -> combined prediction.
-``run_detection`` is their composition; the evaluation grid builds each
-cloud once and runs every method of the grid on it.
+that: score -> EVT threshold -> flag location -> combined prediction.
+Describing each flag (variable, direction, notes) waits until a caller reads
+``DetectionResult.detections``. ``run_detection`` is their composition; the
+evaluation grid builds each cloud once, runs every method of the grid on
+it, and reads only the predictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .attribution import Detection, attribute_detections
+from .attribution import Detection, FlagLocations, describe_flags, locate_flags
 from .core import MultiSeries
 from .errors import ConfigError
-from .neighbors import NeighborLists, PointCloud, normalize
+from .neighbors import LeaderClustering, NeighborLists, PointCloud, normalize
 from .rules import MISSING_GAP, NEGATIVE, OUT_OF_RANGE, RuleConfig, RuleFlags, apply_rules
 from .scoring import ScoreVector, ScoringConfig, score
 from .threshold import ThresholdConfig, ThresholdTrace, combine_flags, evt_flag
@@ -54,13 +57,21 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    detections: tuple[Detection, ...]
     rule_flags: RuleFlags | None
     matrix: TransformedMatrix
     scores: ScoreVector
     evt_row_flags: np.ndarray
     trace: ThresholdTrace
     predicted: np.ndarray  # per-timestamp boolean prediction
+    located: FlagLocations
+    series: MultiSeries = field(repr=False)
+
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        """Score detections in flag order, then rule detections; described on first read."""
+        evt = describe_flags(self.located, self.matrix, self.series, self.scores.scores)
+        rules = _rule_detections(self.rule_flags) if self.rule_flags is not None else []
+        return tuple(evt + rules)
 
 
 def _rule_detections(flags: RuleFlags) -> list[Detection]:
@@ -101,31 +112,27 @@ def detect_on_cloud(
     prepared: PreparedCloud,
     cfg: PipelineConfig,
     nl: NeighborLists | None = None,
+    clustering: LeaderClustering | None = None,
 ) -> DetectionResult:
-    """Score -> EVT threshold -> attribution -> combined prediction on a prepared cloud.
+    """Score -> EVT threshold -> flag location -> combined prediction on a prepared cloud.
 
-    ``nl`` is the cloud's ``knn(cloud, cfg.scoring.k)``, if already built; see ``score``.
+    ``nl`` is the cloud's ``knn(cloud, cfg.scoring.k)`` and ``clustering`` its
+    ``leader_clustering(cloud, cfg.scoring)``, if already built; see ``score``.
     """
     rule_flags, tm = prepared.rule_flags, prepared.matrix
-    sv = score(prepared.cloud, cfg.scoring, nl)
+    sv = score(prepared.cloud, cfg.scoring, nl, clustering)
     row_flags, trace = evt_flag(sv, cfg.threshold)
-
-    detections = attribute_detections(tm, ms, row_flags, sv.scores)
-    detections.extend(_rule_detections(rule_flags) if rule_flags is not None else [])
-
-    predicted = combine_flags(
-        rule_flags,
-        [d.timestamp for d in detections if d.trigger == "evt"],
-        ms.timestamps,
-    )
+    located = locate_flags(tm, ms, row_flags)
+    predicted = combine_flags(rule_flags, ms.timestamps[located.index], ms.timestamps)
     return DetectionResult(
-        detections=tuple(detections),
         rule_flags=rule_flags,
         matrix=tm,
         scores=sv,
         evt_row_flags=row_flags,
         trace=trace,
         predicted=predicted,
+        located=located,
+        series=ms,
     )
 
 

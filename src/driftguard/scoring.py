@@ -6,7 +6,8 @@ plain kNN distance sums, relative kNN distance) and four are density based
 All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and, for the seven kNN scorers, builds the neighbor lists
 with one ``knn`` call unless the caller passes them in; those scorers are
-formulas over the lists.
+formulas over the lists. HDoutliers takes the cloud's Leader clustering the
+same way.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .neighbors import (
+    LeaderClustering,
     NeighborLists,
     PointCloud,
     default_leader_radius,
@@ -112,18 +114,22 @@ def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:
     return (f"{int(bad.sum())} {what}",)
 
 
-def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
-    """Exemplar nearest-neighbor distance, inherited by every cluster member.
-
-    Leader-clusters the cloud, computes each exemplar's distance to its
-    nearest fellow exemplar, and assigns that distance to all members.
-    """
+def leader_clustering(cloud: PointCloud, cfg: ScoringConfig) -> LeaderClustering:
+    """HDoutliers' Leader clustering of the cloud, at ``cfg.leader_radius`` or the default."""
     radius = (
         cfg.leader_radius
         if cfg.leader_radius is not None
         else default_leader_radius(len(cloud), cloud.dim)
     )
-    clustering = leader(cloud, radius)
+    return leader(cloud, radius)
+
+
+def score_hdoutliers(cloud: PointCloud, clustering: LeaderClustering) -> ScoreVector:
+    """Exemplar nearest-neighbor distance, inherited by every cluster member.
+
+    Computes each exemplar's distance to its nearest fellow exemplar in the
+    cloud's Leader clustering and assigns that distance to all members.
+    """
     ex = clustering.exemplars
     notes = ()
     if len(ex) < 2:
@@ -307,19 +313,30 @@ _KNN_SCORERS = {
 
 
 def score(
-    cloud: PointCloud, cfg: ScoringConfig, nl: NeighborLists | None = None
+    cloud: PointCloud,
+    cfg: ScoringConfig,
+    nl: NeighborLists | None = None,
+    clustering: LeaderClustering | None = None,
 ) -> ScoreVector:
     """Run the configured scorer on a (normalized) point cloud.
 
     Checks the cloud once. The kNN scorers use ``nl``, the cloud's
     ``knn(cloud, cfg.k)`` lists when a caller has built them already, and
-    otherwise share one ``knn`` call, which refuses k >= n. HDoutliers
-    ignores ``nl``.
+    otherwise share one ``knn`` call, which refuses k >= n. HDoutliers uses
+    ``clustering``, the cloud's ``leader_clustering(cloud, cfg)``, the same
+    way. Each scorer ignores the other's argument.
     """
     if len(cloud) < 2:
         raise DataError("scoring needs at least 2 points")
     if cfg.method is Method.HDOUTLIERS:
-        return score_hdoutliers(cloud, cfg)
+        if clustering is None:
+            clustering = leader_clustering(cloud, cfg)
+        elif len(clustering.assignment) != len(cloud):
+            raise ValueError(
+                f"a clustering of {len(clustering.assignment)} points does not fit "
+                f"{len(cloud)} points"
+            )
+        return score_hdoutliers(cloud, clustering)
     if nl is None:
         nl = knn(cloud, cfg.k)
     elif nl.indices.shape != (len(cloud), cfg.k):

@@ -135,7 +135,11 @@ def combine_flags(
     outlier_timestamps,
     timestamps: np.ndarray,
 ) -> np.ndarray:
-    """Per-timestamp prediction: any rule fired, or a score detection landed there."""
+    """Per-timestamp prediction: any rule fired, or a score detection landed there.
+
+    ``outlier_timestamps`` is an integer array, read as it is, or any
+    iterable of ints.
+    """
     n = len(timestamps)
     pred = np.zeros(n, dtype=bool)
     if rule_flags is not None:
@@ -144,7 +148,9 @@ def combine_flags(
         ):
             raise DataError("rule flags do not align with the timestamp vector")
         pred |= rule_flags.any_at_timestamp
-    wanted = np.unique(np.fromiter(outlier_timestamps, dtype=np.int64))
+    if not isinstance(outlier_timestamps, np.ndarray):
+        outlier_timestamps = np.fromiter(outlier_timestamps, dtype=np.int64)
+    wanted = np.unique(outlier_timestamps.astype(np.int64, copy=False))
     if wanted.size:
         pos = np.searchsorted(timestamps, wanted)
         ok = (pos < n) & (timestamps[np.minimum(pos, n - 1)] == wanted)

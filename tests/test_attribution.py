@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import reference as ref
 from driftguard import (
+    DataError,
     Detection,
     Method,
     PipelineConfig,
+    RuleConfig,
     ScoringConfig,
     TransformKind,
     attribute_detections,
     build_matrix,
+    combine_flags,
     run_detection,
     write_detections_csv,
 )
 from driftguard.attribution import DROP, INDETERMINATE, SHIFT, SPIKE
+from driftguard.pipeline import _rule_detections
 
 from conftest import make_multiseries
 
@@ -213,6 +217,41 @@ class TestMatchesPerRowReference:
         m = len(tm.row_index)
         flags = np.asarray(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
         assert_matches_reference(tm, ms, flags, np.linspace(0.0, 1.0, m))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_run_detection_describes_its_located_flags(self, data):
+        # one-sided clouds of few distinct readings: many rows tie at the origin.
+        # 5.0 is out of range for the first variable, -1.0 is negative and
+        # NaN is missing; a 200-minute gap breaks the 180-minute gap rule.
+        n = data.draw(st.integers(min_value=30, max_value=60))
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        cell = st.sampled_from([1.0, 2.0, 3.0] * 8 + [5.0, -1.0, np.nan])
+        values = {name: data.draw(st.lists(cell, min_size=n, max_size=n)) for name in NAMES[:d]}
+        gap = st.sampled_from([10, 20] * 4 + [200])
+        gaps = data.draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
+        ms = make_multiseries(values, gaps_minutes=gaps)
+        ranges = {name: (-np.inf, np.inf) for name in NAMES[:d]}
+        ranges[NAMES[0]] = (-np.inf, 4.0)
+        pcfg = PipelineConfig(
+            variables=NAMES[:d],
+            transform=TransformKind.ONE_SIDED_DERIVATIVE,
+            scoring=ScoringConfig(method=data.draw(st.sampled_from(list(Method))), k=3),
+            rules=RuleConfig(ranges=ranges),
+        )
+        try:
+            result = run_detection(ms, pcfg)
+        except DataError:  # too few rows left to score or to threshold
+            reject()
+        tm, flags, scores = result.matrix, result.evt_row_flags, result.scores.scores
+        evt = attribute_detections(tm, ms, flags, scores)
+        want = evt + _rule_detections(result.rule_flags)
+        assert [repr(det) for det in result.detections] == [repr(det) for det in want]
+        assert [repr(det) for det in evt] == [
+            repr(det) for det in ref.ref_attribute_detections(tm, ms, flags, scores)
+        ]
+        expected = combine_flags(result.rule_flags, [det.timestamp for det in evt], ms.timestamps)
+        assert np.array_equal(result.predicted, expected)
 
 
 class TestEndToEndAttribution:

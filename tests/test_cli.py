@@ -447,6 +447,49 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "synth"])
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"transform": {"kind": "original", "sides": {"turbidity": "sideways"}}},
+         "transform.sides.turbidity: unknown side tag 'sideways'"),
+        ({"rules": {"enabled": False, "ranges": {"turbidity": ["x", 1]}}},
+         "rules.ranges.turbidity: expected float, got 'x'"),
+        ({"rules": {"ranges": {"turbidity": [0]}}}, "rules.ranges.turbidity: expected [min, max]"),
+        ({"grid": {"methods": ["KNN-SUM", "nope"]}}, "grid.methods[1]: unknown scoring method 'nope'"),
+        ({"grid": {"transforms": ["nope"]}}, "grid.transforms[0]: unknown transform kind 'nope'"),
+        ({"grid": {"variable_sets": [["turbidity"], "level"]}}, "grid.variable_sets[1]"),
+        ({"transform": {"kind": "nope"}}, "transform.kind: unknown transform kind 'nope'"),
+        ({"scoring": {"method": "nope"}}, "scoring.method: unknown scoring method 'nope'"),
+    ],
+    ids=["side-tag", "range-bound", "range-shape", "grid-method", "grid-transform",
+         "grid-variable-set", "transform-kind", "scoring-method"],
+)
+def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, command, overrides, named):
+    # keys the command never reads are checked too, and no input file exists
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "o"
+    if command == "synth":
+        args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
+    else:
+        args = [command, "--input", str(tmp_path / "none.csv"), "--config", str(cfg), "--out-dir", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert named in caplog.text
+    assert not out.exists()
+
+
+def test_ranges_are_echoed_as_typed(tmp_path):
+    ranges = {"turbidity": [0, 5000], "conductivity": [None, 1e4]}
+    cfg = write_config(tmp_path, rules={"ranges": ranges})
+    data = synth(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    echoed = json.loads((out / "manifest.json").read_text())["config"]["rules"]["ranges"]
+    assert echoed == ranges
+    assert [type(x) for x in echoed["turbidity"]] == [int, int]
+
+
 # Every numeric leaf of the config; the null-default ones take their kind from cli._NULL_KINDS.
 NUMERIC_KEYS = [
     "scoring.k", "scoring.leader_radius", "scoring.rkof_bandwidth_scale",

@@ -190,6 +190,64 @@ class TestGrid:
         assert by_method[Method.KNN_SUM].min_t >= 200.0
         assert by_method[Method.HDOUTLIERS].max_t < 200.0
 
+    def test_leader_runs_once_per_cloud(self, labeled_synth, monkeypatch):
+        from driftguard import neighbors, scoring
+
+        calls = []
+
+        def counted(cloud, radius):
+            calls.append(len(cloud))
+            return neighbors.leader(cloud, radius)
+
+        monkeypatch.setattr(scoring, "leader", counted)
+        grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3)
+        assert len(calls) == 6
+
+    def test_hdoutliers_combos_time_the_clouds_clustering(self, labeled_synth, monkeypatch):
+        # min_t/mu_t/max_t add the group's one clustering to HDoutliers only
+        from driftguard import neighbors, scoring
+
+        def slow_leader(cloud, radius):
+            time.sleep(0.2)
+            return neighbors.leader(cloud, radius)
+
+        monkeypatch.setattr(scoring, "leader", slow_leader)
+        variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
+        combos = [Combo(variables, kind, m) for m in (Method.KNN_SUM, Method.HDOUTLIERS)]
+        by_method = {
+            r.combo.method: r.timing
+            for r in grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=1)
+        }
+        assert by_method[Method.HDOUTLIERS].min_t >= 200.0
+        assert by_method[Method.KNN_SUM].max_t < 200.0
+
+    def test_grid_builds_no_detection(self, monkeypatch):
+        # the grid reads predictions only; describing a flag builds a Detection
+        from driftguard import PipelineConfig, attribution, pipeline, run_detection
+
+        from conftest import make_multiseries
+
+        class Unbuildable:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a Detection was built")
+
+        rng = np.random.default_rng(15)
+        names = ("turbidity", "conductivity", "level")
+        values = {name: rng.normal(100.0, 5.0, 300) for name in names}
+        values["turbidity"][[60, 200]] += 80.0
+        labels = {name: np.isin(np.arange(300), [60, 200]) for name in names}
+        ms = make_multiseries(values, labels_by_var=labels)
+        kinds = [TransformKind.ONE_SIDED_DERIVATIVE, TransformKind.FIRST_DERIVATIVE, TransformKind.ORIGINAL]
+        combos = [Combo(names, kind, method) for kind in kinds for method in Method]
+        for module in (attribution, pipeline):
+            monkeypatch.setattr(module, "Detection", Unbuildable)
+        reports = grid_evaluate(ms, combos, repetitions=3)
+        assert [r.error for r in reports] == [None] * len(combos)
+        assert sum(r.cm.tp + r.cm.fp for r in reports) > 0
+        result = run_detection(ms, PipelineConfig(names, TransformKind.FIRST_DERIVATIVE))
+        with pytest.raises(AssertionError, match="a Detection was built"):
+            result.detections
+
     def _errors(self, ms, combos, **kwargs):
         return {r.combo.method: r.error for r in grid_evaluate(ms, combos, repetitions=3, **kwargs)}
 

@@ -166,10 +166,10 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _keyed(key: str, parse, value):
-    """``parse(value)``, its ConfigError prefixed with the dotted key."""
+def _keyed(key: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, its ConfigError prefixed with the dotted key."""
     try:
-        return parse(value)
+        return parse(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -307,18 +307,17 @@ def _synth_config(cfg: dict) -> SynthConfig:
     for i, f in enumerate(s["faults"]):
         key = f"synth.faults[{i}]"
         f = _fields(f, key, _FAULT_KEYS, required=_FAULT_KEYS)
-        faults.append(FaultSpec(
-            variable=f["variable"],
-            index=_num(int, f["index"], f"{key}.index"),
-            kind=f["kind"],
-            magnitude=_num(float, f["magnitude"], f"{key}.magnitude"),
-        ))
+        index = _num(int, f["index"], f"{key}.index")
+        magnitude = _num(float, f["magnitude"], f"{key}.magnitude")
+        faults.append(_keyed(key, FaultSpec, f["variable"], index, f["kind"], magnitude))
     gap = s["gap_minutes"]
     if len(gap) != 2:
         raise ConfigError(f"synth.gap_minutes: expected [min, max], got {gap!r}")
     return SynthConfig(**{
         **s,
-        "base": {var: BaseSignal(**spec) for var, spec in s["base"].items()},
+        "base": {
+            var: _keyed(f"synth.base.{var}", BaseSignal, **spec) for var, spec in s["base"].items()
+        },
         "gap_minutes": tuple(_num(int, g, "synth.gap_minutes") for g in gap),
         "faults": tuple(faults),
     })

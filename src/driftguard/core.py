@@ -443,8 +443,8 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in ("spike", "drop", "level_shift"):
             raise ConfigError(f"unknown fault kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ConfigError("fault magnitude must be non-negative")
+        if not 0 <= self.magnitude < math.inf:  # refuses NaN too
+            raise ConfigError("fault magnitude must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -455,6 +455,15 @@ class BaseSignal:
     amplitude: float = 0.0
     period: float = 500.0
     noise_sd: float = 0.0
+
+    def __post_init__(self):
+        for name in ("level", "amplitude", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.noise_sd < 0:
+            raise ConfigError("noise_sd must be non-negative")
+        if not self.period > 0:  # refuses NaN too
+            raise ConfigError("period must be positive")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ sensitivity and specificity; it is the headline ranking metric. 0/0 ratios are
 reported as NaN rather than coerced.
 
 The grid is evaluated by cloud: combos sharing (variables, transform) share
-one rules -> transform -> normalize build, one ``knn`` call if any of them
-is a kNN method and one Leader clustering if any is HDoutliers. Each combo
-then runs only the per-method stages of ``pipeline.detect_on_cloud`` on that
-shared cloud, and reads its prediction; no flag is ever described.
+one rules -> transform -> normalize build. The cloud keeps its own kNN lists
+and Leader clustering; the grid builds each one it needs once, before any
+combo runs. Each combo then runs only the per-method stages of
+``pipeline.detect_on_cloud`` on that shared cloud, and reads its prediction;
+no flag is ever described.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
 from .errors import ConfigError, DataError, DriftguardError
-from .neighbors import LeaderClustering, NeighborLists, knn
 from .pipeline import (
     PipelineConfig,
     PreparedCloud,
@@ -32,7 +32,7 @@ from .pipeline import (
     distinct_variables,
     prepare_cloud,
 )
-from .scoring import Method, ScoringConfig, leader_clustering
+from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
 from .transforms import TransformKind
 
@@ -174,8 +174,6 @@ class _Cloud:
 
     pcfg: PipelineConfig | None = None
     prepared: PreparedCloud | None = None
-    nl: NeighborLists | None = None
-    clustering: LeaderClustering | None = None
     build_ms: float = 0.0  # rules + transform + normalize
     knn_ms: float = 0.0
     leader_ms: float = 0.0
@@ -184,6 +182,16 @@ class _Cloud:
 
 def _cloud_key(combo: Combo) -> tuple:
     return tuple(combo.variables), combo.transform
+
+
+def _warm(build: Callable[[], object]) -> float:
+    """Milliseconds ``build()`` takes, a kept build of a cloud."""
+    start = time.perf_counter()
+    try:
+        build()
+    except DriftguardError:
+        pass  # not kept: each combo's own score() call raises it, as run_detection does
+    return (time.perf_counter() - start) * 1000.0
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -208,8 +216,9 @@ def grid_evaluate(
 
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Combos sharing (variables, transform) share one cloud: rules ->
-    transform -> normalize run once for them, ``knn`` once if any of them
-    is a kNN method, and the Leader clustering once if any is HDoutliers.
+    transform -> normalize run once for them. The cloud keeps its kNN lists,
+    built once if any of them is a kNN method, and its Leader clustering,
+    built once if any is HDoutliers.
     Every report counts the same predictions as ``run_detection`` would for
     its combo.
 
@@ -249,23 +258,12 @@ def grid_evaluate(
             build_ms = (time.perf_counter() - start) * 1000.0
         except Exception as exc:  # every combo of the group reports it
             return _Cloud(error=str(exc))
-        nl, knn_ms = None, 0.0
-        if key in knn_keys:
-            start = time.perf_counter()
-            try:
-                nl = knn(prepared.cloud, scoring_base.k)
-            except DriftguardError:
-                pass  # each kNN combo's own score() call then fails as run_detection does
-            knn_ms = (time.perf_counter() - start) * 1000.0
-        clustering, leader_ms = None, 0.0
-        if key in leader_keys:
-            start = time.perf_counter()
-            try:
-                clustering = leader_clustering(prepared.cloud, scoring_base)
-            except DriftguardError:
-                pass  # as for knn: each HDoutliers combo's score() call then fails
-            leader_ms = (time.perf_counter() - start) * 1000.0
-        return _Cloud(pcfg, prepared, nl, clustering, build_ms, knn_ms, leader_ms)
+        cloud = prepared.cloud
+        knn_ms = _warm(lambda: cloud.neighbors(scoring_base.k)) if key in knn_keys else 0.0
+        leader_ms = (
+            _warm(lambda: cloud.clusters(scoring_base.leader_radius)) if key in leader_keys else 0.0
+        )
+        return _Cloud(pcfg, prepared, build_ms, knn_ms, leader_ms)
 
     # Every cloud is built before any combo runs. The pool's unit is then the
     # combo, in the caller's order: with the cloud as the unit, workers would
@@ -282,7 +280,7 @@ def grid_evaluate(
             first = []
 
             def run():
-                result = detect_on_cloud(ms, group.prepared, pcfg, group.nl, group.clustering)
+                result = detect_on_cloud(ms, group.prepared, pcfg)
                 if not first:
                     first.append(result)
 

@@ -1,5 +1,8 @@
 """Shared geometry: unit-hypercube normalization, exact kNN, Leader clustering.
 
+A ``PointCloud`` keeps its own builds: ``neighbors(k)`` and ``clusters(radius)``
+run ``knn`` and ``leader`` once, so every scorer on one cloud shares them.
+
 kNN is kd-tree accelerated but contractually exact, identical to brute force
 with ties broken by lower index. It runs on the distinct points: exact
 duplicate rows (the origin cluster of the one-sided transform) collapse into
@@ -19,7 +22,8 @@ coordinates, so the clusters are those of a direct single pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,9 +47,19 @@ _BALL_PAD = 1e-9
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite points, one row per point."""
+    """Finite points, one row per point.
+
+    ``diameter_bound``, ``neighbors(k)`` and ``clusters(radius)`` are kept
+    after their first call, so the points must not change after that. Each
+    is built once even when threads ask for it together. A build that
+    raises is not kept and raises again on the next call.
+    """
 
     points: np.ndarray
+    _builds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -65,6 +79,26 @@ class PointCloud:
         """Cheap upper bound on the cloud diameter (bounding-box diagonal)."""
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.sqrt((span**2).sum()))
+
+    def neighbors(self, k: int) -> "NeighborLists":
+        """``knn(self, k)``, built on the first call and kept."""
+        return self._kept(("knn", k), knn, k)
+
+    def clusters(self, radius: float | None = None) -> "LeaderClustering":
+        """``leader(self, radius)``, built on the first call and kept.
+
+        ``radius=None`` means ``default_leader_radius(len(self), self.dim)``.
+        """
+        if radius is None:
+            radius = default_leader_radius(len(self), self.dim)
+        return self._kept(("leader", radius), leader, radius)
+
+    def _kept(self, key, build, arg):
+        # One lock per cloud, so the grid's threads build different clouds at once.
+        with self._lock:
+            if key not in self._builds:
+                self._builds[key] = build(self, arg)
+            return self._builds[key]
 
 
 @dataclass(frozen=True)

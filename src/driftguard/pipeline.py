@@ -4,10 +4,12 @@ The chain has two halves. ``prepare_cloud`` builds what depends only on the
 variables, the transform and the rules: rule flags, the transformed matrix
 and its normalized cloud. ``detect_on_cloud`` runs the per-method stages on
 that: score -> EVT threshold -> flag location -> combined prediction.
-Describing each flag (variable, direction, notes) waits until a caller reads
-``DetectionResult.detections``. ``run_detection`` is their composition; the
-evaluation grid builds each cloud once, runs every method of the grid on
-it, and reads only the predictions.
+The cloud keeps its own kNN lists and Leader clustering, so methods run on
+one prepared cloud share them. Describing each flag (variable, direction,
+notes) waits until a caller reads ``DetectionResult.detections``.
+``run_detection`` is their composition; the evaluation grid builds each
+cloud once, runs every method of the grid on it, and reads only the
+predictions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .attribution import Detection, FlagLocations, describe_flags, locate_flags
 from .core import MultiSeries
 from .errors import ConfigError
-from .neighbors import LeaderClustering, NeighborLists, PointCloud, normalize
+from .neighbors import PointCloud, normalize
 from .rules import MISSING_GAP, NEGATIVE, OUT_OF_RANGE, RuleConfig, RuleFlags, apply_rules
 from .scoring import ScoreVector, ScoringConfig, score
 from .threshold import ThresholdConfig, ThresholdTrace, combine_flags, evt_flag
@@ -108,19 +110,11 @@ def prepare_cloud(ms: MultiSeries, cfg: PipelineConfig) -> PreparedCloud:
 
 
 def detect_on_cloud(
-    ms: MultiSeries,
-    prepared: PreparedCloud,
-    cfg: PipelineConfig,
-    nl: NeighborLists | None = None,
-    clustering: LeaderClustering | None = None,
+    ms: MultiSeries, prepared: PreparedCloud, cfg: PipelineConfig
 ) -> DetectionResult:
-    """Score -> EVT threshold -> flag location -> combined prediction on a prepared cloud.
-
-    ``nl`` is the cloud's ``knn(cloud, cfg.scoring.k)`` and ``clustering`` its
-    ``leader_clustering(cloud, cfg.scoring)``, if already built; see ``score``.
-    """
+    """Score -> EVT threshold -> flag location -> combined prediction on a prepared cloud."""
     rule_flags, tm = prepared.rule_flags, prepared.matrix
-    sv = score(prepared.cloud, cfg.scoring, nl, clustering)
+    sv = score(prepared.cloud, cfg.scoring)
     row_flags, trace = evt_flag(sv, cfg.threshold)
     located = locate_flags(tm, ms, row_flags)
     predicted = combine_flags(rule_flags, ms.timestamps[located.index], ms.timestamps)

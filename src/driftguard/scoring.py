@@ -4,10 +4,9 @@ Four are nearest-neighbor-distance based (exemplar NN distance, weighted and
 plain kNN distance sums, relative kNN distance) and four are density based
 (reachability, chaining, reverse-neighborhood, and kernel density factors).
 All consume a normalized cloud so no variable dominates the metric. ``score``
-checks the cloud and, for the seven kNN scorers, builds the neighbor lists
-with one ``knn`` call unless the caller passes them in; those scorers are
-formulas over the lists. HDoutliers takes the cloud's Leader clustering the
-same way.
+checks the cloud and hands the seven kNN scorers the cloud's kept neighbor
+lists, ``cloud.neighbors(k)``; those scorers are formulas over the lists.
+HDoutliers takes the cloud's kept Leader clustering, ``cloud.clusters``.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .neighbors import (
-    LeaderClustering,
-    NeighborLists,
-    PointCloud,
-    default_leader_radius,
-    knn,
-    leader,
-)
+from .neighbors import LeaderClustering, NeighborLists, PointCloud, knn
 
 
 class Method(str, Enum):
@@ -112,16 +104,6 @@ def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:
     finite = scores[np.isfinite(scores)]
     scores[bad] = (finite.max() if finite.size else 1.0) * 10.0
     return (f"{int(bad.sum())} {what}",)
-
-
-def leader_clustering(cloud: PointCloud, cfg: ScoringConfig) -> LeaderClustering:
-    """HDoutliers' Leader clustering of the cloud, at ``cfg.leader_radius`` or the default."""
-    radius = (
-        cfg.leader_radius
-        if cfg.leader_radius is not None
-        else default_leader_radius(len(cloud), cloud.dim)
-    )
-    return leader(cloud, radius)
 
 
 def score_hdoutliers(cloud: PointCloud, clustering: LeaderClustering) -> ScoreVector:
@@ -312,36 +294,15 @@ _KNN_SCORERS = {
 }
 
 
-def score(
-    cloud: PointCloud,
-    cfg: ScoringConfig,
-    nl: NeighborLists | None = None,
-    clustering: LeaderClustering | None = None,
-) -> ScoreVector:
+def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Run the configured scorer on a (normalized) point cloud.
 
-    Checks the cloud once. The kNN scorers use ``nl``, the cloud's
-    ``knn(cloud, cfg.k)`` lists when a caller has built them already, and
-    otherwise share one ``knn`` call, which refuses k >= n. HDoutliers uses
-    ``clustering``, the cloud's ``leader_clustering(cloud, cfg)``, the same
-    way. Each scorer ignores the other's argument.
+    Checks the cloud once. The kNN scorers read ``cloud.neighbors(cfg.k)``,
+    which refuses k >= n; HDoutliers reads ``cloud.clusters(cfg.leader_radius)``.
+    Either is built on the cloud's first call and kept for every later one.
     """
     if len(cloud) < 2:
         raise DataError("scoring needs at least 2 points")
     if cfg.method is Method.HDOUTLIERS:
-        if clustering is None:
-            clustering = leader_clustering(cloud, cfg)
-        elif len(clustering.assignment) != len(cloud):
-            raise ValueError(
-                f"a clustering of {len(clustering.assignment)} points does not fit "
-                f"{len(cloud)} points"
-            )
-        return score_hdoutliers(cloud, clustering)
-    if nl is None:
-        nl = knn(cloud, cfg.k)
-    elif nl.indices.shape != (len(cloud), cfg.k):
-        raise ValueError(
-            f"neighbor lists of shape {nl.indices.shape} do not fit "
-            f"{len(cloud)} points at k={cfg.k}"
-        )
-    return _KNN_SCORERS[cfg.method](cloud, nl, cfg)
+        return score_hdoutliers(cloud, cloud.clusters(cfg.leader_radius))
+    return _KNN_SCORERS[cfg.method](cloud, cloud.neighbors(cfg.k), cfg)

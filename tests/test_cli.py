@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -422,12 +423,33 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         ("detect", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
         ("evaluate", {"rules": {"ranges": {"turbidty": [0, 1]}}}, "rules.ranges.turbidty"),
         ("plot-data", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
+        # base-signal and fault values that would write blank or infinite cells
+        ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "period": 0}}}},
+         "synth.base.turbidity: period must be positive"),
+        ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "period": math.nan}}}},
+         "synth.base.turbidity: period must be positive"),
+        ("synth", {"synth": {"base": {"turbidity": {"level": math.inf}}}},
+         "synth.base.turbidity: level must be finite"),
+        ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "amplitude": math.nan}}}},
+         "synth.base.turbidity: amplitude must be finite"),
+        ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "noise_sd": math.inf}}}},
+         "synth.base.turbidity: noise_sd must be finite"),
+        ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "noise_sd": -1}}}},
+         "synth.base.turbidity: noise_sd must be non-negative"),
+        ("synth", {"synth": {"faults": [{"variable": "turbidity", "index": 5, "kind": "spike",
+                                         "magnitude": math.inf}]}},
+         "synth.faults[0]: fault magnitude must be non-negative and finite"),
+        ("synth", {"synth": {"faults": [{"variable": "turbidity", "index": 5, "kind": "spike",
+                                         "magnitude": math.nan}]}},
+         "synth.faults[0]: fault magnitude must be non-negative and finite"),
     ],
     ids=[
         "method-number", "forbid_negative-text", "gap-number", "base-number", "fault-without-index",
         "variables-text", "gap-one-value", "base-unknown-key", "grid-method-number", "variable-set-text",
         "range-unknown-variable", "side-unknown-variable", "evaluate-range-unknown-variable",
-        "plot-side-unknown-variable",
+        "plot-side-unknown-variable", "base-zero-period", "base-nan-period", "base-infinite-level",
+        "base-nan-amplitude", "base-infinite-noise", "base-negative-noise", "fault-infinite-magnitude",
+        "fault-nan-magnitude",
     ],
 )
 def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, named):

@@ -153,16 +153,16 @@ class TestGrid:
             assert report.cm == confusion(run_detection(labeled_synth, pcfg).predicted, truth), c
 
     def test_knn_runs_once_per_cloud(self, labeled_synth, monkeypatch):
-        from driftguard import PipelineConfig, evaluation, neighbors, pipeline, scoring
+        from driftguard import PipelineConfig, neighbors, pipeline
 
         sizes = []
+        real_knn = neighbors.knn
 
         def counted(cloud, k):
             sizes.append(len(cloud))
-            return neighbors.knn(cloud, k)
+            return real_knn(cloud, k)
 
-        for module in (evaluation, scoring):
-            monkeypatch.setattr(module, "knn", counted)
+        monkeypatch.setattr(neighbors, "knn", counted)
         combos = self.paper_grid()
         full = {
             len(pipeline.prepare_cloud(labeled_synth, PipelineConfig(c.variables, c.transform)).cloud)
@@ -174,13 +174,15 @@ class TestGrid:
 
     def test_knn_combos_time_the_clouds_knn(self, labeled_synth, monkeypatch):
         # min_t/mu_t/max_t add the group's one knn to its kNN methods only
-        from driftguard import evaluation, neighbors
+        from driftguard import neighbors
+
+        real_knn = neighbors.knn
 
         def slow_knn(cloud, k):
             time.sleep(0.2)
-            return neighbors.knn(cloud, k)
+            return real_knn(cloud, k)
 
-        monkeypatch.setattr(evaluation, "knn", slow_knn)
+        monkeypatch.setattr(neighbors, "knn", slow_knn)
         variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
         combos = [Combo(variables, kind, m) for m in (Method.KNN_SUM, Method.HDOUTLIERS)]
         by_method = {
@@ -191,27 +193,30 @@ class TestGrid:
         assert by_method[Method.HDOUTLIERS].max_t < 200.0
 
     def test_leader_runs_once_per_cloud(self, labeled_synth, monkeypatch):
-        from driftguard import neighbors, scoring
+        from driftguard import neighbors
 
         calls = []
+        real_leader = neighbors.leader
 
         def counted(cloud, radius):
             calls.append(len(cloud))
-            return neighbors.leader(cloud, radius)
+            return real_leader(cloud, radius)
 
-        monkeypatch.setattr(scoring, "leader", counted)
+        monkeypatch.setattr(neighbors, "leader", counted)
         grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3)
         assert len(calls) == 6
 
     def test_hdoutliers_combos_time_the_clouds_clustering(self, labeled_synth, monkeypatch):
         # min_t/mu_t/max_t add the group's one clustering to HDoutliers only
-        from driftguard import neighbors, scoring
+        from driftguard import neighbors
+
+        real_leader = neighbors.leader
 
         def slow_leader(cloud, radius):
             time.sleep(0.2)
-            return neighbors.leader(cloud, radius)
+            return real_leader(cloud, radius)
 
-        monkeypatch.setattr(scoring, "leader", slow_leader)
+        monkeypatch.setattr(neighbors, "leader", slow_leader)
         variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
         combos = [Combo(variables, kind, m) for m in (Method.KNN_SUM, Method.HDOUTLIERS)]
         by_method = {

@@ -295,3 +295,95 @@ class TestLeader:
 def test_default_radius_formula():
     assert default_leader_radius(100, 2) == pytest.approx(0.1 / np.log(100) ** 0.5)
     assert default_leader_radius(1000, 3) == pytest.approx(0.1 / np.log(1000) ** (1 / 3))
+
+
+def _record_calls(monkeypatch, name):
+    """Patch ``neighbors.<name>`` to record (cloud size, argument) per call; return the record."""
+    calls = []
+    real = getattr(neighbors, name)
+
+    def recorded(cloud, arg):
+        calls.append((len(cloud), arg))
+        return real(cloud, arg)
+
+    monkeypatch.setattr(neighbors, name, recorded)
+    return calls
+
+
+class TestKeptBuilds:
+    def test_neighbors_are_kept(self, rng):
+        cloud = PointCloud(rng.random((80, 2)))
+        assert cloud.neighbors(5) is cloud.neighbors(5)
+
+    def test_each_k_keeps_its_own_lists(self, rng):
+        # one-sided clipping puts ties at the origin
+        cloud = normalize(np.maximum(rng.normal(size=(300, 3)), 0.0))
+        three, seven = cloud.neighbors(3), cloud.neighbors(7)
+        for k, kept in ((3, three), (7, seven)):
+            direct = knn(cloud, k)
+            assert kept.indices.tobytes() == direct.indices.tobytes()
+            assert kept.distances.tobytes() == direct.distances.tobytes()
+        assert cloud.neighbors(3) is three and cloud.neighbors(7) is seven
+
+    def test_default_clusters_use_the_default_radius(self, rng):
+        cloud = normalize(np.maximum(rng.normal(size=(500, 2)), 0.0))
+        kept = cloud.clusters(None)
+        direct = leader(cloud, default_leader_radius(len(cloud), cloud.dim))
+        np.testing.assert_array_equal(kept.exemplars, direct.exemplars)
+        np.testing.assert_array_equal(kept.assignment, direct.assignment)
+        assert cloud.clusters() is kept
+
+    def test_failed_build_raises_every_time_and_is_not_kept(self, monkeypatch):
+        cloud = PointCloud(np.array([[0.0], [1.0], [2.0], [10.0]]))
+        calls = _record_calls(monkeypatch, "knn")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(DataError, match="k=4 must be smaller") as info:
+                cloud.neighbors(4)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert calls == [(4, 4)] * 3
+        assert cloud.neighbors(3) is cloud.neighbors(3)
+        assert calls == [(4, 4)] * 3 + [(4, 3)]
+
+    @pytest.mark.parametrize("method, patched", [("KNN-SUM", "knn"), ("HDoutliers", "leader")])
+    def test_run_detection_builds_once(self, method, patched, monkeypatch):
+        from driftguard import Method, PipelineConfig, ScoringConfig, TransformKind, run_detection
+
+        from conftest import make_multiseries
+
+        rng = np.random.default_rng(16)
+        ms = make_multiseries({v: rng.normal(50.0, 5.0, 200) for v in ("turbidity", "conductivity")})
+        calls = _record_calls(monkeypatch, patched)
+        pcfg = PipelineConfig(
+            ("turbidity", "conductivity"),
+            TransformKind.ORIGINAL,
+            scoring=ScoringConfig(method=Method.parse(method)),
+        )
+        run_detection(ms, pcfg)
+        assert [size for size, _ in calls] == [200]
+
+    def test_threads_asking_together_share_one_build(self, rng, monkeypatch):
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        cloud = normalize(np.maximum(rng.normal(size=(400, 2)), 0.0))
+        calls = _record_calls(monkeypatch, "knn")
+        start = threading.Barrier(8)
+
+        def ask():
+            start.wait(timeout=10)
+            return cloud.neighbors(4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than cores, released together
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ask) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [(400, 4)]
+        assert all(r is results[0] for r in results)

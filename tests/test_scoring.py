@@ -60,15 +60,18 @@ def test_k_too_large(method):
 @pytest.mark.parametrize(
     "method", [m for m in Method if m is not Method.HDOUTLIERS], ids=lambda m: m.value
 )
-def test_given_neighbor_lists_are_used_and_must_fit(method, rng):
+def test_second_score_reads_the_clouds_kept_lists(method, rng, monkeypatch):
+    from driftguard import neighbors
+
     cloud = normalize(rng.normal(size=(60, 2)))
     cfg = ScoringConfig(method=method, k=4)
-    own = score(cloud, cfg)
-    given = score(cloud, cfg, knn(cloud, 4))
-    np.testing.assert_array_equal(given.scores, own.scores)
-    assert given.notes == own.notes
-    with pytest.raises(ValueError, match="do not fit"):
-        score(cloud, cfg, knn(cloud, 5))
+    first = score(cloud, cfg)
+    calls = []
+    monkeypatch.setattr(neighbors, "knn", lambda *args: calls.append(args))
+    second = score(cloud, cfg)
+    assert calls == []
+    np.testing.assert_array_equal(second.scores, first.scores)
+    assert second.notes == first.notes
 
 
 @pytest.mark.parametrize(
@@ -119,10 +122,10 @@ def test_neighborhood_distances_build_no_difference_tensor(method, rng):
     # of n (k+1)^2 float64; the scorer's own peak stays under 3 units.
     n, k = 3000, 10
     cloud = normalize(np.maximum(rng.standard_normal((n, 3)), 0.0))  # 1 row in 8 at the origin
-    nl = knn(cloud, k)
+    cloud.neighbors(k)
     tracemalloc.start()
     try:
-        score(cloud, ScoringConfig(method=method, k=k), nl)
+        score(cloud, ScoringConfig(method=method, k=k))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

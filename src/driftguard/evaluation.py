@@ -7,15 +7,18 @@ reported as NaN rather than coerced.
 The grid is evaluated by cloud: combos sharing (variables, transform) share
 one rules -> transform -> normalize build. The cloud keeps its own kNN lists
 and Leader clustering; the grid builds each one it needs once, before any
-combo runs. Each combo then runs only the per-method stages of
-``pipeline.detect_on_cloud`` on that shared cloud, and reads its prediction;
-no flag is ever described.
+combo runs. COF's and LDOF's neighborhood distance block is built by the
+first of their runs that reads it. Each combo then runs only the per-method
+stages of ``pipeline.detect_on_cloud`` on that shared cloud, and reads its
+prediction; no flag is ever described. Combos run grouped by cloud, and each
+cloud is dropped after its last combo.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -175,8 +178,6 @@ class _Cloud:
     pcfg: PipelineConfig | None = None
     prepared: PreparedCloud | None = None
     build_ms: float = 0.0  # rules + transform + normalize
-    knn_ms: float = 0.0
-    leader_ms: float = 0.0
     error: str | None = None
 
 
@@ -184,14 +185,20 @@ def _cloud_key(combo: Combo) -> tuple:
     return tuple(combo.variables), combo.transform
 
 
-def _warm(build: Callable[[], object]) -> float:
-    """Milliseconds ``build()`` takes, a kept build of a cloud."""
-    start = time.perf_counter()
+# The kinds of kept build (``PointCloud.build_ms``) each method reads; kNN otherwise.
+_KEPT_READS = {
+    Method.HDOUTLIERS: ("leader",),
+    Method.COF: ("knn", "hood"),
+    Method.LDOF: ("knn", "hood"),
+}
+
+
+def _warm(build: Callable[[object], object], arg) -> None:
+    """Make a cloud's kept build ``build(arg)`` now; the cloud records its time."""
     try:
-        build()
+        build(arg)
     except DriftguardError:
         pass  # not kept: each combo's own score() call raises it, as run_detection does
-    return (time.perf_counter() - start) * 1000.0
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -218,7 +225,8 @@ def grid_evaluate(
     Combos sharing (variables, transform) share one cloud: rules ->
     transform -> normalize run once for them. The cloud keeps its kNN lists,
     built once if any of them is a kNN method, and its Leader clustering,
-    built once if any is HDoutliers.
+    built once if any is HDoutliers. COF and LDOF also share the cloud's
+    neighborhood distance block, built by the first of their runs.
     Every report counts the same predictions as ``run_detection`` would for
     its combo.
 
@@ -227,9 +235,10 @@ def grid_evaluate(
     matrix, then ``repetitions`` times timed. No flag is described: the
     grid never reads ``DetectionResult.detections``. ``min_t/mu_t/max_t``
     are those samples plus the group's one-off build, measured once: rules
-    + transform + normalize, plus ``knn`` for the kNN methods or the Leader
-    clustering for HDoutliers. So each still reads as the chain from the
-    raw series.
+    + transform + normalize, plus the kept builds the method reads, as
+    the cloud recorded them: ``knn`` for the kNN methods, and the distance
+    block as well for COF and LDOF, or the Leader clustering for
+    HDoutliers. So each still reads as the chain from the raw series.
 
     Per-combo failures are captured in the report rather than aborting the
     grid; too few repetitions is refused before any combo runs. NaN-OP and
@@ -258,21 +267,37 @@ def grid_evaluate(
             build_ms = (time.perf_counter() - start) * 1000.0
         except Exception as exc:  # every combo of the group reports it
             return _Cloud(error=str(exc))
-        cloud = prepared.cloud
-        knn_ms = _warm(lambda: cloud.neighbors(scoring_base.k)) if key in knn_keys else 0.0
-        leader_ms = (
-            _warm(lambda: cloud.clusters(scoring_base.leader_radius)) if key in leader_keys else 0.0
-        )
-        return _Cloud(pcfg, prepared, build_ms, knn_ms, leader_ms)
+        if key in knn_keys:
+            _warm(prepared.cloud.neighbors, scoring_base.k)
+        if key in leader_keys:
+            _warm(prepared.cloud.clusters, scoring_base.leader_radius)
+        return _Cloud(pcfg, prepared, build_ms)
 
-    # Every cloud is built before any combo runs. The pool's unit is then the
-    # combo, in the caller's order: with the cloud as the unit, workers would
-    # run the memory-heavy COF and LDOF scorers on two clouds at once.
-    keys = list(dict.fromkeys(_cloud_key(c) for c in combos))
-    clouds = dict(zip(keys, _map(build, keys, workers)))
+    # Every cloud is built, with its kNN lists and Leader clustering, before
+    # any combo runs; the pool's unit is then the combo. COF's and LDOF's
+    # distance block, (k+1)^2 floats per point, is not built here: one per
+    # cloud alive at once would outweigh the rest of the grid. The combos run
+    # grouped by cloud, in first-appearance order (the reports are sorted
+    # afterwards), and each cloud is dropped, kept builds and all, when its
+    # last combo finishes. So about ``workers`` blocks are alive at once.
+    by_cloud: dict[tuple, list[Combo]] = {}
+    for combo in combos:
+        by_cloud.setdefault(_cloud_key(combo), []).append(combo)
+    clouds = dict(zip(by_cloud, _map(build, list(by_cloud), workers)))
+    left = {key: len(group) for key, group in by_cloud.items()}
+    left_lock = threading.Lock()
 
     def run_one(combo: Combo) -> EvaluationReport:
-        group = clouds[_cloud_key(combo)]
+        key = _cloud_key(combo)
+        try:
+            return measure(combo, clouds[key])
+        finally:
+            with left_lock:
+                left[key] -= 1
+                if not left[key]:
+                    del clouds[key]
+
+    def measure(combo: Combo, group: _Cloud) -> EvaluationReport:
         if group.error is not None:
             return EvaluationReport(combo, None, None, None, error=group.error)
         try:
@@ -284,10 +309,12 @@ def grid_evaluate(
                 if not first:
                     first.append(result)
 
-            # benchmark's untimed warm-up run supplies the confusion matrix.
+            # benchmark's untimed warm-up run supplies the confusion matrix,
+            # and makes any kept build the method reads that is not made yet.
             stages = benchmark(run, repetitions)
-            one_off = group.build_ms + (
-                group.leader_ms if combo.method is Method.HDOUTLIERS else group.knn_ms
+            cloud = group.prepared.cloud
+            one_off = group.build_ms + sum(
+                cloud.build_ms(kind) for kind in _KEPT_READS.get(combo.method, ("knn",))
             )
             timing = TimingStats(
                 stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off
@@ -297,7 +324,8 @@ def grid_evaluate(
         except Exception as exc:  # per-combo isolation
             return EvaluationReport(combo, None, None, None, error=str(exc))
 
-    return sorted(_map(run_one, list(combos), workers), key=_sort_key)
+    grouped = [combo for group in by_cloud.values() for combo in group]
+    return sorted(_map(run_one, grouped, workers), key=_sort_key)
 
 
 def thread_cap() -> int | None:

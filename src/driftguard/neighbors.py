@@ -1,7 +1,9 @@
 """Shared geometry: unit-hypercube normalization, exact kNN, Leader clustering.
 
-A ``PointCloud`` keeps its own builds: ``neighbors(k)`` and ``clusters(radius)``
-run ``knn`` and ``leader`` once, so every scorer on one cloud shares them.
+A ``PointCloud`` keeps its own builds: ``neighbors(k)``, ``clusters(radius)``
+and ``hood_distances(k)`` run ``knn``, ``leader`` and ``hood_block`` once, so
+every scorer on one cloud shares them, and the cloud records how long each
+took.
 
 kNN is kd-tree accelerated but contractually exact, identical to brute force
 with ties broken by lower index. It runs on the distinct points: exact
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +43,9 @@ _QUERY_PAD = 2
 # expands to over _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1) rows; this bounds
 # peak memory.
 _BLOCK = 2048
+# Points whose neighborhood distances are worked out together, so building the
+# block, and summing over it, needs little scratch memory beyond the block.
+_HOOD_ROWS = 128
 # Relative margin on a Leader ball query, far above rounding in the tree's
 # distances, so the ball holds every point the exact formula puts in reach.
 _BALL_PAD = 1e-9
@@ -49,14 +55,16 @@ _BALL_PAD = 1e-9
 class PointCloud:
     """Finite points, one row per point.
 
-    ``diameter_bound``, ``neighbors(k)`` and ``clusters(radius)`` are kept
-    after their first call, so the points must not change after that. Each
-    is built once even when threads ask for it together. A build that
-    raises is not kept and raises again on the next call.
+    ``diameter_bound``, ``neighbors(k)``, ``clusters(radius)`` and
+    ``hood_distances(k)`` are kept after their first call, so the points must
+    not change after that. Each is built once even when threads ask for it
+    together, and ``build_ms`` tells how long it took. A build that raises is
+    not kept and raises again on the next call.
     """
 
     points: np.ndarray
     _builds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _build_ms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
@@ -93,11 +101,32 @@ class PointCloud:
             radius = default_leader_radius(len(self), self.dim)
         return self._kept(("leader", radius), leader, radius)
 
+    def hood_distances(self, k: int) -> np.ndarray:
+        """``hood_block(self, self.neighbors(k))``, built on the first call and kept."""
+        nl = self.neighbors(k)  # before _kept: the cloud's lock is not re-entrant
+        return self._kept(("hood", k), hood_block, nl)
+
+    def build_ms(self, kind: str) -> float:
+        """Milliseconds the kept builds of ``kind`` ("knn", "leader" or "hood") took.
+
+        Summed over every argument built; 0.0 when none is kept.
+        """
+        return self._build_ms.get(kind, 0.0)
+
     def _kept(self, key, build, arg):
-        # One lock per cloud, so the grid's threads build different clouds at once.
+        # A kept build is read without the lock, so a run that reads one is
+        # never held up while another build of the cloud is made. One lock per
+        # cloud, so the grid's threads build different clouds at once.
+        kept = self._builds.get(key)
+        if kept is not None:
+            return kept
         with self._lock:
             if key not in self._builds:
-                self._builds[key] = build(self, arg)
+                start = time.perf_counter()
+                kept = build(self, arg)
+                elapsed = (time.perf_counter() - start) * 1000.0
+                self._build_ms[key[0]] = self._build_ms.get(key[0], 0.0) + elapsed
+                self._builds[key] = kept
             return self._builds[key]
 
 
@@ -226,6 +255,34 @@ def _rank(cand, d_cand, members, first, width, take):
         dists[rows, cols] = np.repeat(d_cand.ravel(), w)
     order = np.lexsort((ids, dists), axis=1)[:, :take]
     return np.take_along_axis(ids, order, axis=1), np.take_along_axis(dists, order, axis=1)
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of broadcast point arrays, added one coordinate at a time.
+
+    No (..., d) difference array; bit-equal to ((a - b) ** 2).sum(axis=-1) for d <= 7.
+    """
+    total = (a[..., 0] - b[..., 0]) ** 2
+    for j in range(1, a.shape[-1]):
+        total += (a[..., j] - b[..., j]) ** 2
+    return total
+
+
+def hood_block(cloud: PointCloud, nl: NeighborLists) -> np.ndarray:
+    """Distances within each point's neighborhood, read-only, shape (n, k+1, k+1).
+
+    ``[p, i, j]`` is the distance between members i and j of p's neighborhood:
+    p itself first, then its neighbors in ``nl`` order. Exactly symmetric,
+    with a zero diagonal.
+    """
+    hood = np.column_stack([np.arange(len(cloud)), nl.indices])  # (n, k+1)
+    block = np.empty(hood.shape + hood.shape[1:])
+    for lo in range(0, len(hood), _HOOD_ROWS):
+        part = cloud.points[hood[lo : lo + _HOOD_ROWS]]  # (rows, k+1, d)
+        block[lo : lo + _HOOD_ROWS] = _sq_distances(part[:, :, None], part[:, None])
+    np.sqrt(block, out=block)
+    block.flags.writeable = False  # shared by every scorer and thread on the cloud
+    return block
 
 
 def leader(cloud: PointCloud, radius: float) -> LeaderClustering:

@@ -4,9 +4,10 @@ The chain has two halves. ``prepare_cloud`` builds what depends only on the
 variables, the transform and the rules: rule flags, the transformed matrix
 and its normalized cloud. ``detect_on_cloud`` runs the per-method stages on
 that: score -> EVT threshold -> flag location -> combined prediction.
-The cloud keeps its own kNN lists and Leader clustering, so methods run on
-one prepared cloud share them. Describing each flag (variable, direction,
-notes) waits until a caller reads ``DetectionResult.detections``.
+The cloud keeps its own kNN lists, Leader clustering and COF/LDOF
+neighborhood distance block, so methods run on one prepared cloud share
+them. Describing each flag (variable, direction, notes) waits until a
+caller reads ``DetectionResult.detections``.
 ``run_detection`` is their composition; the evaluation grid builds each
 cloud once, runs every method of the grid on it, and reads only the
 predictions.

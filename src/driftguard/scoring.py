@@ -6,7 +6,9 @@ plain kNN distance sums, relative kNN distance) and four are density based
 All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and hands the seven kNN scorers the cloud's kept neighbor
 lists, ``cloud.neighbors(k)``; those scorers are formulas over the lists.
-HDoutliers takes the cloud's kept Leader clustering, ``cloud.clusters``.
+COF and LDOF also read the cloud's kept neighborhood distance block,
+``cloud.hood_distances(k)``. HDoutliers takes the cloud's kept Leader
+clustering, ``cloud.clusters``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .neighbors import LeaderClustering, NeighborLists, PointCloud, knn
+from .neighbors import _HOOD_ROWS, LeaderClustering, NeighborLists, PointCloud, _sq_distances, knn
 
 
 class Method(str, Enum):
@@ -152,17 +154,6 @@ def score_lof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Score
     return ScoreVector(lrd[nl.indices].mean(axis=1) / lrd, Method.LOF)
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances of broadcast point arrays, added one coordinate at a time.
-
-    No (..., d) difference array; bit-equal to ((a - b) ** 2).sum(axis=-1) for d <= 7.
-    """
-    total = (a[..., 0] - b[..., 0]) ** 2
-    for j in range(1, a.shape[-1]):
-        total += (a[..., j] - b[..., j]) ** 2
-    return total
-
-
 def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
     """Average chaining distance of every point's set-based nearest path.
 
@@ -190,8 +181,7 @@ def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
 def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Connectivity-based factor comparing chaining distances with neighbors'."""
     k = cfg.k
-    hood = cloud.points[np.column_stack([np.arange(len(cloud)), nl.indices])]  # (n, k+1, d)
-    ac = _avg_chain_dists(np.sqrt(_sq_distances(hood[:, :, None], hood[:, None])))
+    ac = _avg_chain_dists(cloud.hood_distances(k))
     denom = ac[nl.indices].sum(axis=1)
     floor = k * _density_floor(cloud)
     scores = np.where(
@@ -237,9 +227,14 @@ def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
         raise DataError("this factor needs k >= 2")
     k = cfg.k
     dbar = nl.distances.mean(axis=1)
-    nbr = cloud.points[nl.indices]  # (n, k, d)
-    pair = np.sqrt(_sq_distances(nbr[:, :, None], nbr[:, None]))
-    inner = pair.sum(axis=(1, 2)) / (k * (k - 1))
+    # The neighbors' corner of the cloud's block, copied a few rows at a time
+    # so that each sum adds in the order it would over a fresh (n, k, k) array.
+    block = cloud.hood_distances(k)
+    pair_sums = [
+        np.ascontiguousarray(block[lo : lo + _HOOD_ROWS, 1:, 1:]).sum(axis=(1, 2))
+        for lo in range(0, len(block), _HOOD_ROWS)
+    ]
+    inner = np.concatenate(pair_sums) / (k * (k - 1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = dbar / inner

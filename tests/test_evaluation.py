@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -225,6 +226,108 @@ class TestGrid:
         }
         assert by_method[Method.HDOUTLIERS].min_t >= 200.0
         assert by_method[Method.KNN_SUM].max_t < 200.0
+
+    def test_hood_block_built_once_per_cloud(self, labeled_synth, monkeypatch):
+        from driftguard import neighbors
+
+        sizes = []
+        real_block = neighbors.hood_block
+
+        def counted(cloud, nl):
+            sizes.append(len(cloud))
+            return real_block(cloud, nl)
+
+        monkeypatch.setattr(neighbors, "hood_block", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more workers than cores: a cloud dropped before its last combo
+            # would fail that combo or build its block again
+            reports = grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(r.error for r in reports)
+        # COF and LDOF on each of the six clouds, 4 runs each, share one block
+        assert len(sizes) == 6
+
+    def test_cof_and_ldof_time_the_clouds_block(self, labeled_synth, monkeypatch):
+        # min_t/mu_t/max_t add the block's one build to COF and LDOF only,
+        # though the first of their warm-up runs is what builds it; the other
+        # methods' runs on the cloud are not held up while it is built
+        from driftguard import neighbors
+
+        real_block = neighbors.hood_block
+
+        def slow_block(cloud, nl):
+            time.sleep(0.2)
+            return real_block(cloud, nl)
+
+        monkeypatch.setattr(neighbors, "hood_block", slow_block)
+        variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
+        methods = (Method.KNN_SUM, Method.HDOUTLIERS, Method.COF, Method.LDOF)
+        by_method = {
+            r.combo.method: r.timing
+            for r in grid_evaluate(
+                labeled_synth, [Combo(variables, kind, m) for m in methods], repetitions=3
+            )
+        }
+        assert by_method[Method.COF].min_t >= 200.0
+        assert by_method[Method.LDOF].min_t >= 200.0
+        assert by_method[Method.KNN_SUM].max_t < 200.0
+        assert by_method[Method.HDOUTLIERS].max_t < 200.0
+
+    def test_grid_memory_follows_workers_not_clouds(self, tmp_path):
+        # COF and LDOF on four clouds, the caller's order visiting every cloud
+        # before any cloud's second method. Run by cloud, with each cloud
+        # dropped after its last combo, two workers hold about two distance
+        # blocks at once; all four alive would read over four blocks.
+        import tracemalloc
+
+        from driftguard import BaseSignal, FaultSpec, SynthConfig, synth_series
+
+        n, k = 1500, 30
+        cfg = SynthConfig(
+            n_points=n,
+            base={
+                "turbidity": BaseSignal(20.0, 5.0, 400.0, 0.1),
+                "conductivity": BaseSignal(300.0, 40.0, 600.0, 1.5),
+                "level": BaseSignal(1.0, 0.2, 300.0, 0.05),
+            },
+            faults=(
+                FaultSpec("turbidity", 500, "spike", 150.0),
+                FaultSpec("conductivity", 1000, "drop", 220.0),
+            ),
+        )
+        ms = synth_series(cfg, seed=7)
+        var_sets = [
+            ("turbidity", "conductivity"),
+            ("turbidity", "level"),
+            ("conductivity", "level"),
+            ("turbidity", "conductivity", "level"),
+        ]
+        pairs = [(Method.COF, Method.LDOF), (Method.LDOF, Method.COF)] * 2
+        kind = TransformKind.ORIGINAL
+        combos = [Combo(vs, kind, first) for vs, (first, _) in zip(var_sets, pairs)]
+        combos += [Combo(vs, kind, second) for vs, (_, second) in zip(var_sets, pairs)]
+        scoring = ScoringConfig(k=k)
+        block_bytes = n * (k + 1) ** 2 * 8
+
+        tracemalloc.start()
+        try:
+            threaded = grid_evaluate(ms, combos, scoring_base=scoring, repetitions=3, max_workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        serial = grid_evaluate(ms, combos, scoring_base=scoring, repetitions=3, max_workers=1)
+
+        assert not any(r.error for r in threaded)
+        assert peak < 3 * block_bytes
+        written = []
+        for name, reports in (("threaded", threaded), ("serial", serial)):
+            write_report_csv(reports, tmp_path / f"{name}.csv")
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            written.append([line.split(",")[:14] for line in lines])
+        assert written[0] == written[1]
 
     def test_grid_builds_no_detection(self, monkeypatch):
         # the grid reads predictions only; describing a flag builds a Detection

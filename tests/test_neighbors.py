@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,18 +365,21 @@ class TestKeptBuilds:
         run_detection(ms, pcfg)
         assert [size for size, _ in calls] == [200]
 
-    def test_threads_asking_together_share_one_build(self, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "patched, ask_for", [("knn", "neighbors"), ("hood_block", "hood_distances")]
+    )
+    def test_threads_asking_together_share_one_build(self, patched, ask_for, rng, monkeypatch):
         import sys
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
         cloud = normalize(np.maximum(rng.normal(size=(400, 2)), 0.0))
-        calls = _record_calls(monkeypatch, "knn")
+        calls = _record_calls(monkeypatch, patched)
         start = threading.Barrier(8)
 
         def ask():
             start.wait(timeout=10)
-            return cloud.neighbors(4)
+            return getattr(cloud, ask_for)(4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -385,5 +390,53 @@ class TestKeptBuilds:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert calls == [(400, 4)]
+        assert [size for size, _ in calls] == [400]
         assert all(r is results[0] for r in results)
+
+
+class TestHoodBlock:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_is_the_direct_formula_on_duplicate_rows(self, data):
+        # rows from a small pool plus a one-sided origin cluster, so
+        # neighborhoods hold exact duplicates, zeros and -0.0
+        d = data.draw(st.integers(min_value=1, max_value=7))
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+        pool = data.draw(arrays(np.float64, (4, d), elements=coords))
+        pool[0] = 0.0
+        pick = data.draw(arrays(np.int64, (n,), elements=st.integers(0, 3)))
+        rows = data.draw(st.integers(min_value=1, max_value=n))  # built this many at a time
+        cloud = PointCloud(pool[pick])
+        with mock.patch.object(neighbors, "_HOOD_ROWS", rows):
+            block = cloud.hood_distances(k)
+        assert block.shape == (n, k + 1, k + 1)
+        assert not block.flags.writeable
+        hood = cloud.points[np.column_stack([np.arange(n), cloud.neighbors(k).indices])]
+        want = np.sqrt(((hood[:, :, None] - hood[:, None]) ** 2).sum(-1))
+        assert block.tobytes() == want.tobytes()
+        assert block.tobytes() == block.transpose(0, 2, 1).copy().tobytes()
+        assert not block[:, np.arange(k + 1), np.arange(k + 1)].any()
+        assert cloud.hood_distances(k) is block
+
+    def test_block_is_built_once_and_timed(self, rng, monkeypatch):
+        cloud = normalize(np.maximum(rng.normal(size=(300, 3)), 0.0))
+        calls = _record_calls(monkeypatch, "hood_block")
+        assert cloud.build_ms("hood") == 0.0
+        block = cloud.hood_distances(5)
+        spent = cloud.build_ms("hood")
+        assert spent > 0.0
+        assert cloud.hood_distances(5) is block
+        assert cloud.build_ms("hood") == spent
+        assert [size for size, _ in calls] == [300]
+
+    def test_ldof_with_k_1_builds_no_block(self, rng, monkeypatch):
+        from driftguard import Method, ScoringConfig, score
+
+        cloud = normalize(rng.random((50, 2)))
+        calls = _record_calls(monkeypatch, "hood_block")
+        with pytest.raises(DataError, match="k >= 2"):
+            score(cloud, ScoringConfig(method=Method.LDOF, k=1))
+        assert calls == []
+        assert cloud.build_ms("hood") == 0.0

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
-from driftguard.scoring import _density_floor, _sq_distances, knn_agg_weights, score_inflo
+from driftguard.neighbors import _sq_distances
+from driftguard.scoring import _density_floor, knn_agg_weights, score_inflo
 
 import reference as ref
 
@@ -312,6 +313,19 @@ class TestLdof:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(DataError):
             score(LINE4, ScoringConfig(method=Method.LDOF, k=1))
+
+    def test_pair_sums_taken_in_row_chunks_match_one_fresh_array(self, rng):
+        # more rows than one chunk of the block, and not a multiple of it
+        from driftguard.neighbors import _HOOD_ROWS
+
+        n, k = 2 * _HOOD_ROWS + 37, 6
+        cloud = PointCloud(rng.random((n, 3)))
+        nl = cloud.neighbors(k)
+        nbr = cloud.points[nl.indices]
+        pair = np.sqrt(((nbr[:, :, None] - nbr[:, None]) ** 2).sum(-1))
+        want = nl.distances.mean(axis=1) / (pair.sum(axis=(1, 2)) / (k * (k - 1)))
+        got = score(cloud, ScoringConfig(method=Method.LDOF, k=k)).scores
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRkof:

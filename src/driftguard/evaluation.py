@@ -35,7 +35,7 @@ from .pipeline import (
     distinct_variables,
     prepare_cloud,
 )
-from .scoring import Method, ScoringConfig
+from .scoring import Method, ScoringConfig, kept_reads
 from .threshold import ThresholdConfig
 from .transforms import TransformKind
 
@@ -185,14 +185,6 @@ def _cloud_key(combo: Combo) -> tuple:
     return tuple(combo.variables), combo.transform
 
 
-# The kinds of kept build (``PointCloud.build_ms``) each method reads; kNN otherwise.
-_KEPT_READS = {
-    Method.HDOUTLIERS: ("leader",),
-    Method.COF: ("knn", "hood"),
-    Method.LDOF: ("knn", "hood"),
-}
-
-
 def _warm(build: Callable[[object], object], arg) -> None:
     """Make a cloud's kept build ``build(arg)`` now; the cloud records its time."""
     try:
@@ -314,7 +306,7 @@ def grid_evaluate(
             stages = benchmark(run, repetitions)
             cloud = group.prepared.cloud
             one_off = group.build_ms + sum(
-                cloud.build_ms(kind) for kind in _KEPT_READS.get(combo.method, ("knn",))
+                cloud.build_ms(kind) for kind in kept_reads(combo.method)
             )
             timing = TimingStats(
                 stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off

@@ -44,7 +44,7 @@ _QUERY_PAD = 2
 # peak memory.
 _BLOCK = 2048
 # Points whose neighborhood distances are worked out together, so building the
-# block, and summing over it, needs little scratch memory beyond the block.
+# block needs little scratch memory beyond the block.
 _HOOD_ROWS = 128
 # Relative margin on a Leader ball query, far above rounding in the tree's
 # distances, so the ball holds every point the exact formula puts in reach.

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .neighbors import _HOOD_ROWS, LeaderClustering, NeighborLists, PointCloud, _sq_distances, knn
+from .neighbors import LeaderClustering, NeighborLists, PointCloud, _sq_distances, knn
 
 
 class Method(str, Enum):
@@ -221,6 +221,9 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
     return ScoreVector(sums / counts / den, Method.INFLO)
 
 
+_LDOF_ROWS = 128  # rows of the block's neighbor corner LDOF copies at a time
+
+
 def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Relative distance factor: mean kNN distance over mean distance between neighbors."""
     if cfg.k < 2:
@@ -231,8 +234,8 @@ def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
     # so that each sum adds in the order it would over a fresh (n, k, k) array.
     block = cloud.hood_distances(k)
     pair_sums = [
-        np.ascontiguousarray(block[lo : lo + _HOOD_ROWS, 1:, 1:]).sum(axis=(1, 2))
-        for lo in range(0, len(block), _HOOD_ROWS)
+        np.ascontiguousarray(block[lo : lo + _LDOF_ROWS, 1:, 1:]).sum(axis=(1, 2))
+        for lo in range(0, len(block), _LDOF_ROWS)
     ]
     inner = np.concatenate(pair_sums) / (k * (k - 1))
 
@@ -287,6 +290,15 @@ _KNN_SCORERS = {
     Method.LDOF: score_ldof,
     Method.RKOF: score_rkof,
 }
+
+
+def kept_reads(method: Method) -> tuple[str, ...]:
+    """The kinds of kept build (``PointCloud.build_ms``) ``score`` reads for ``method``."""
+    if method is Method.HDOUTLIERS:
+        return ("leader",)
+    if method in (Method.COF, Method.LDOF):
+        return ("knn", "hood")
+    return ("knn",)
 
 
 def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:

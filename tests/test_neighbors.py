@@ -390,7 +390,11 @@ class TestKeptBuilds:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert [size for size, _ in calls] == [400]
+        if patched == "knn":
+            assert calls == [(400, 4)]
+        else:  # built from the cloud's kept lists
+            assert len(calls) == 1
+            assert calls[0][0] == 400 and calls[0][1] is cloud.neighbors(4)
         assert all(r is results[0] for r in results)
 
 

@@ -316,9 +316,9 @@ class TestLdof:
 
     def test_pair_sums_taken_in_row_chunks_match_one_fresh_array(self, rng):
         # more rows than one chunk of the block, and not a multiple of it
-        from driftguard.neighbors import _HOOD_ROWS
+        from driftguard.scoring import _LDOF_ROWS
 
-        n, k = 2 * _HOOD_ROWS + 37, 6
+        n, k = 2 * _LDOF_ROWS + 37, 6
         cloud = PointCloud(rng.random((n, 3)))
         nl = cloud.neighbors(k)
         nbr = cloud.points[nl.indices]

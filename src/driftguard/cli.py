@@ -313,7 +313,7 @@ def _synth_config(cfg: dict) -> SynthConfig:
     gap = s["gap_minutes"]
     if len(gap) != 2:
         raise ConfigError(f"synth.gap_minutes: expected [min, max], got {gap!r}")
-    return SynthConfig(**{
+    return _keyed("synth", SynthConfig, **{
         **s,
         "base": {
             var: _keyed(f"synth.base.{var}", BaseSignal, **spec) for var, spec in s["base"].items()

@@ -485,7 +485,17 @@ class SynthConfig:
             raise ConfigError(f"bad gap range {self.gap_minutes}")
         if not self.base:
             raise ConfigError("at least one variable base signal required")
+        if not self.long_gap_minutes > 0:
+            raise ConfigError(f"long_gap_minutes must be positive, got {self.long_gap_minutes}")
+        n = self.n_points
+        if self.long_gap_at is not None and not (1 <= self.long_gap_at < n):
+            raise ConfigError(f"long_gap_at {self.long_gap_at} out of range for {n} points")
         object.__setattr__(self, "faults", tuple(self.faults))
+        for fault in self.faults:
+            if fault.variable not in self.base:
+                raise ConfigError(f"fault targets unknown variable {fault.variable!r}")
+            if not (0 <= fault.index < n):
+                raise ConfigError(f"fault index {fault.index} out of range for {n} points")
 
 
 def synth_series(config: SynthConfig, seed: int) -> MultiSeries:
@@ -500,11 +510,8 @@ def synth_series(config: SynthConfig, seed: int) -> MultiSeries:
     lo, hi = config.gap_minutes
     gaps = rng.integers(lo, hi + 1, size=n - 1)
     if config.long_gap_at is not None:
-        g = config.long_gap_at
-        if not (1 <= g < n):
-            raise DataError(f"long_gap_at {g} out of range for {n} points")
         gaps = gaps.copy()
-        gaps[g - 1] = config.long_gap_minutes
+        gaps[config.long_gap_at - 1] = config.long_gap_minutes
     ts = config.start_epoch + 60 * np.concatenate(([0], np.cumsum(gaps)))
     ts = ts.astype(np.int64)
 
@@ -520,12 +527,6 @@ def synth_series(config: SynthConfig, seed: int) -> MultiSeries:
         labels[name] = np.zeros(n, dtype=np.uint8)
 
     for fault in config.faults:
-        if fault.variable not in values:
-            raise DataError(f"fault targets unknown variable {fault.variable!r}")
-        if not (0 <= fault.index < n):
-            raise DataError(
-                f"fault index {fault.index} out of range for {n} points"
-            )
         v = values[fault.variable]
         if fault.kind == "spike":
             v[fault.index] += fault.magnitude

@@ -5,20 +5,19 @@ sensitivity and specificity; it is the headline ranking metric. 0/0 ratios are
 reported as NaN rather than coerced.
 
 The grid is evaluated by cloud: combos sharing (variables, transform) share
-one rules -> transform -> normalize build. The cloud keeps its own kNN lists
-and Leader clustering; the grid builds each one it needs once, before any
-combo runs. COF's and LDOF's neighborhood distance block is built by the
-first of their runs that reads it. Each combo then runs only the per-method
-stages of ``pipeline.detect_on_cloud`` on that shared cloud, and reads its
-prediction; no flag is ever described. Combos run grouped by cloud, and each
-cloud is dropped after its last combo.
+one rules -> transform -> normalize build, and the cloud is the thread pool's
+unit of work. One worker builds the cloud and runs its combos one after
+another: only the per-method stages of ``pipeline.detect_on_cloud``, reading
+each prediction; no flag is ever described. The cloud keeps its own kNN
+lists, Leader clustering and COF/LDOF neighborhood distance block, each built
+by the first combo that reads it, and is dropped when its worker moves on, so
+at most ``workers`` clouds are alive at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
-from .errors import ConfigError, DataError, DriftguardError
+from .errors import ConfigError, DataError
 from .pipeline import (
     PipelineConfig,
     PreparedCloud,
@@ -171,26 +170,8 @@ def _sort_key(report: EvaluationReport):
     )
 
 
-@dataclass(frozen=True)
-class _Cloud:
-    """One (variables, transform) group's shared build, or the error that stopped it."""
-
-    pcfg: PipelineConfig | None = None
-    prepared: PreparedCloud | None = None
-    build_ms: float = 0.0  # rules + transform + normalize
-    error: str | None = None
-
-
 def _cloud_key(combo: Combo) -> tuple:
     return tuple(combo.variables), combo.transform
-
-
-def _warm(build: Callable[[object], object], arg) -> None:
-    """Make a cloud's kept build ``build(arg)`` now; the cloud records its time."""
-    try:
-        build(arg)
-    except DriftguardError:
-        pass  # not kept: each combo's own score() call raises it, as run_detection does
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -215,10 +196,11 @@ def grid_evaluate(
 
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Combos sharing (variables, transform) share one cloud: rules ->
-    transform -> normalize run once for them. The cloud keeps its kNN lists,
-    built once if any of them is a kNN method, and its Leader clustering,
-    built once if any is HDoutliers. COF and LDOF also share the cloud's
-    neighborhood distance block, built by the first of their runs.
+    transform -> normalize run once for them, and so do the cloud's kept
+    builds: its kNN lists, its Leader clustering and COF's and LDOF's
+    neighborhood distance block, each made by the first combo that reads it.
+    The pool's unit is the cloud: one worker builds it and runs its combos
+    one after another, and the cloud is dropped when they are done.
     Every report counts the same predictions as ``run_detection`` would for
     its combo.
 
@@ -240,11 +222,9 @@ def grid_evaluate(
     _check_repetitions(repetitions)
     truth = ground_truth(ms)
     workers = max_workers or thread_cap() or min(4, len(combos)) or 1
-    knn_keys = {_cloud_key(c) for c in combos if c.method is not Method.HDOUTLIERS}
-    leader_keys = {_cloud_key(c) for c in combos if c.method is Method.HDOUTLIERS}
 
-    def build(key) -> _Cloud:
-        variables, transform = key
+    def run_cloud(group: list[Combo]) -> list[EvaluationReport]:
+        variables, transform = _cloud_key(group[0])
         try:
             pcfg = PipelineConfig(
                 variables=variables,
@@ -258,55 +238,26 @@ def grid_evaluate(
             prepared = prepare_cloud(ms, pcfg)
             build_ms = (time.perf_counter() - start) * 1000.0
         except Exception as exc:  # every combo of the group reports it
-            return _Cloud(error=str(exc))
-        if key in knn_keys:
-            _warm(prepared.cloud.neighbors, scoring_base.k)
-        if key in leader_keys:
-            _warm(prepared.cloud.clusters, scoring_base.leader_radius)
-        return _Cloud(pcfg, prepared, build_ms)
+            return [EvaluationReport(combo, None, None, None, error=str(exc)) for combo in group]
+        return [measure(combo, pcfg, prepared, build_ms) for combo in group]
 
-    # Every cloud is built, with its kNN lists and Leader clustering, before
-    # any combo runs; the pool's unit is then the combo. COF's and LDOF's
-    # distance block, (k+1)^2 floats per point, is not built here: one per
-    # cloud alive at once would outweigh the rest of the grid. The combos run
-    # grouped by cloud, in first-appearance order (the reports are sorted
-    # afterwards), and each cloud is dropped, kept builds and all, when its
-    # last combo finishes. So about ``workers`` blocks are alive at once.
-    by_cloud: dict[tuple, list[Combo]] = {}
-    for combo in combos:
-        by_cloud.setdefault(_cloud_key(combo), []).append(combo)
-    clouds = dict(zip(by_cloud, _map(build, list(by_cloud), workers)))
-    left = {key: len(group) for key, group in by_cloud.items()}
-    left_lock = threading.Lock()
-
-    def run_one(combo: Combo) -> EvaluationReport:
-        key = _cloud_key(combo)
+    def measure(
+        combo: Combo, pcfg: PipelineConfig, prepared: PreparedCloud, build_ms: float
+    ) -> EvaluationReport:
         try:
-            return measure(combo, clouds[key])
-        finally:
-            with left_lock:
-                left[key] -= 1
-                if not left[key]:
-                    del clouds[key]
-
-    def measure(combo: Combo, group: _Cloud) -> EvaluationReport:
-        if group.error is not None:
-            return EvaluationReport(combo, None, None, None, error=group.error)
-        try:
-            pcfg = replace(group.pcfg, scoring=replace(scoring_base, method=combo.method))
+            pcfg = replace(pcfg, scoring=replace(scoring_base, method=combo.method))
             first = []
 
             def run():
-                result = detect_on_cloud(ms, group.prepared, pcfg)
+                result = detect_on_cloud(ms, prepared, pcfg)
                 if not first:
                     first.append(result)
 
             # benchmark's untimed warm-up run supplies the confusion matrix,
             # and makes any kept build the method reads that is not made yet.
             stages = benchmark(run, repetitions)
-            cloud = group.prepared.cloud
-            one_off = group.build_ms + sum(
-                cloud.build_ms(kind) for kind in kept_reads(combo.method)
+            one_off = build_ms + sum(
+                prepared.cloud.build_ms(kind) for kind in kept_reads(combo.method)
             )
             timing = TimingStats(
                 stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off
@@ -316,8 +267,11 @@ def grid_evaluate(
         except Exception as exc:  # per-combo isolation
             return EvaluationReport(combo, None, None, None, error=str(exc))
 
-    grouped = [combo for group in by_cloud.values() for combo in group]
-    return sorted(_map(run_one, grouped, workers), key=_sort_key)
+    by_cloud: dict[tuple, list[Combo]] = {}
+    for combo in combos:
+        by_cloud.setdefault(_cloud_key(combo), []).append(combo)
+    reports = _map(run_cloud, list(by_cloud.values()), workers)
+    return sorted((report for group in reports for report in group), key=_sort_key)
 
 
 def thread_cap() -> int | None:

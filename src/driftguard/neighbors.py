@@ -57,9 +57,10 @@ class PointCloud:
 
     ``diameter_bound``, ``neighbors(k)``, ``clusters(radius)`` and
     ``hood_distances(k)`` are kept after their first call, so the points must
-    not change after that. Each is built once even when threads ask for it
-    together, and ``build_ms`` tells how long it took. A build that raises is
-    not kept and raises again on the next call.
+    not change after that. Every read takes the cloud's one lock, so each is
+    built once even when threads ask for it together, and a read waits while
+    another build of the cloud is made. ``build_ms`` tells how long each
+    took. A build that raises is not kept and raises again on the next call.
     """
 
     points: np.ndarray
@@ -114,12 +115,6 @@ class PointCloud:
         return self._build_ms.get(kind, 0.0)
 
     def _kept(self, key, build, arg):
-        # A kept build is read without the lock, so a run that reads one is
-        # never held up while another build of the cloud is made. One lock per
-        # cloud, so the grid's threads build different clouds at once.
-        kept = self._builds.get(key)
-        if kept is not None:
-            return kept
         with self._lock:
             if key not in self._builds:
                 start = time.perf_counter()

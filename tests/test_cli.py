@@ -442,6 +442,16 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         ("synth", {"synth": {"faults": [{"variable": "turbidity", "index": 5, "kind": "spike",
                                          "magnitude": math.nan}]}},
          "synth.faults[0]: fault magnitude must be non-negative and finite"),
+        # out-of-range synth values, refused before any series is generated
+        ("synth", {"synth": {"long_gap_at": 5, "long_gap_minutes": 0}},
+         "synth: long_gap_minutes must be positive"),
+        ("synth", {"synth": {"long_gap_at": 900}}, "synth: long_gap_at 900 out of range"),
+        ("synth", {"synth": {"faults": [{"variable": "turbidity", "index": 9999, "kind": "spike",
+                                         "magnitude": 5}]}},
+         "synth: fault index 9999 out of range"),
+        ("synth", {"synth": {"faults": [{"variable": "nope", "index": 5, "kind": "spike",
+                                         "magnitude": 5}]}},
+         "synth: fault targets unknown variable 'nope'"),
     ],
     ids=[
         "method-number", "forbid_negative-text", "gap-number", "base-number", "fault-without-index",
@@ -449,7 +459,8 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         "range-unknown-variable", "side-unknown-variable", "evaluate-range-unknown-variable",
         "plot-side-unknown-variable", "base-zero-period", "base-nan-period", "base-infinite-level",
         "base-nan-amplitude", "base-infinite-noise", "base-negative-noise", "fault-infinite-magnitude",
-        "fault-nan-magnitude",
+        "fault-nan-magnitude", "long-gap-zero-minutes", "long-gap-past-end", "fault-index-past-end",
+        "fault-unknown-variable",
     ],
 )
 def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, named):

@@ -12,6 +12,7 @@ import reference as ref
 from driftguard import core
 from driftguard import (
     BaseSignal,
+    ConfigError,
     DataError,
     FaultSpec,
     MultiSeries,
@@ -489,10 +490,9 @@ class TestSynth:
         assert rest.min() >= 10 and rest.max() <= 120
 
     def test_fault_index_out_of_range(self):
-        cfg = SynthConfig(n_points=10, base=self.base(),
-                          faults=(FaultSpec("turbidity", 10, "spike", 1.0),))
-        with pytest.raises(DataError, match="out of range"):
-            synth_series(cfg, seed=0)
+        with pytest.raises(ConfigError, match="out of range"):
+            SynthConfig(n_points=10, base=self.base(),
+                        faults=(FaultSpec("turbidity", 10, "spike", 1.0),))
 
 
 class TestInvariants:

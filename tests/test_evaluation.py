@@ -241,8 +241,8 @@ class TestGrid:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # more workers than cores: a cloud dropped before its last combo
-            # would fail that combo or build its block again
+            # more workers than cores: a cloud shared between workers, or
+            # dropped before its last combo, would build its block again
             reports = grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3, max_workers=8)
         finally:
             sys.setswitchinterval(interval)
@@ -328,6 +328,35 @@ class TestGrid:
             lines = (tmp_path / f"{name}.csv").read_text().splitlines()
             written.append([line.split(",")[:14] for line in lines])
         assert written[0] == written[1]
+
+    def test_grid_holds_at_most_workers_clouds(self, labeled_synth, monkeypatch):
+        import threading
+        import weakref
+
+        from driftguard import evaluation
+
+        lock = threading.Lock()
+        alive = [0]
+        most = [0]
+        real_prepare = evaluation.prepare_cloud
+
+        def gone():
+            with lock:
+                alive[0] -= 1
+
+        def tracked(ms, cfg):
+            prepared = real_prepare(ms, cfg)
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            weakref.finalize(prepared, gone)
+            return prepared
+
+        monkeypatch.setattr(evaluation, "prepare_cloud", tracked)
+        reports = grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3, max_workers=2)
+        assert not any(r.error for r in reports)
+        assert most[0] <= 2
+        assert alive[0] == 0
 
     def test_grid_builds_no_detection(self, monkeypatch):
         # the grid reads predictions only; describing a flag builds a Detection
@@ -421,10 +450,11 @@ class TestGrid:
         assert a.cm == b.cm
         assert a.metric_set == b.metric_set
 
-    def test_results_independent_of_worker_count(self, labeled_synth):
+    @pytest.mark.parametrize("workers", [4, 8])  # 8: more workers than the six clouds
+    def test_results_independent_of_worker_count(self, labeled_synth, workers):
         combos = self.paper_grid()
         serial = grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=1)
-        threaded = grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=4)
+        threaded = grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=workers)
         assert len(serial) == len(threaded) == 48
         for a, b in zip(serial, threaded):
             assert a.combo == b.combo

@@ -57,12 +57,21 @@ class ThresholdTrace:
     note: str = ""
 
     def to_csv(self, path) -> None:
+        """Write the decisions that explain the cutoff.
+
+        These are the last ``effective_tail_count + 2`` rows, or every row
+        of a shorter trace, each under its original iteration number. The
+        last row is the stop, or the final absorb when nothing is flagged;
+        its spacing scale averages ``effective_tail_count`` spacings, which
+        span the ``effective_tail_count + 1`` tested scores just before it.
+        """
+        start = max(0, len(self.decisions) - (self.effective_tail_count + 2))
         floats = (self.tested_scores, self.cutoffs, self.spacing_scales)
-        cols = [map(repr, np.asarray(a, np.float64).tolist()) for a in floats]
+        cols = [map(repr, np.asarray(a, np.float64)[start:].tolist()) for a in floats]
         write_csv(
             path,
             ["iteration", "tested_score", "cutoff", "spacing_scale", "decision"],
-            zip(itertools.count(), *cols, self.decisions),
+            zip(itertools.count(start), *cols, self.decisions[start:]),
         )
 
 
@@ -85,8 +94,7 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
     if not np.isfinite(s).all():
         raise DataError("scores must be finite")
 
-    order = np.argsort(s, kind="stable")
-    ss = s[order]
+    ss = np.sort(s)
     # At least three seed scores so the tail fit has spacings to work with.
     m0 = min(max(math.ceil(cfg.initial_fraction * n), 3), n)
     tail_count = _effective_tail_count(cfg, m0)
@@ -108,11 +116,10 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
     stop_at = int(candidates[hit]) if hit is not None else None
     last = hit + 1 if hit is not None else len(candidates)
 
-    flags = np.zeros(n, dtype=bool)
-    stops = ()
-    if stop_at is not None:
-        flags[order[stop_at:]] = True
-        stops = ("stop",)
+    # ghat >= 0, so the stop score is strictly above the score before it
+    # and no tie straddles the stop: every copy of a flagged value is flagged.
+    flags = s >= ss[stop_at] if stop_at is not None else np.zeros(n, dtype=bool)
+    stops = ("stop",) if stop_at is not None else ()
     degenerate = n > 1 and ss[0] == ss[-1]
     trace = ThresholdTrace(
         alpha=cfg.alpha,
@@ -123,7 +130,7 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
         cutoffs=cutoffs[:last].copy(),
         spacing_scales=ghat[:last].copy(),
         decisions=("absorb",) * (last - len(stops)) + stops,
-        flagged_indices=np.sort(order[stop_at:]) if stop_at is not None else np.empty(0, dtype=np.int64),
+        flagged_indices=np.flatnonzero(flags),
         degenerate=degenerate,
         note="all scores identical: no spacings to fit" if degenerate else "",
     )

@@ -496,3 +496,19 @@ def ref_svg_scatter(header, rows, path, size=640):
         parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
+
+
+def ref_stable_selection(scores, stop_at):
+    """(sorted scores, flags, flagged indices) when sorted position stop_at stops.
+
+    The selection goes through a stable argsort: the scores at sorted
+    positions stop_at and above are flagged, and their input indices are
+    listed in ascending order. stop_at None flags nothing.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(s, kind="stable")
+    flags = np.zeros(len(s), dtype=bool)
+    if stop_at is None:
+        return s[order], flags, np.empty(0, dtype=np.int64)
+    flags[order[stop_at:]] = True
+    return s[order], flags, np.sort(order[stop_at:])

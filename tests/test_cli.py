@@ -131,6 +131,23 @@ class TestDetectCommand:
         assert rows[0]["direction"] == "spike"
         assert rows[0]["trigger"] == "evt"
 
+    def test_trace_csv_is_the_tail_of_the_run_trace(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        data = synth(tmp_path, cfg_path)
+        out = tmp_path / "det"
+        assert main(["detect", "--input", str(data), "--config", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
+        ms = ingest_csv(data)
+        trace = run_detection(ms, _pipeline_config(load_config(str(cfg_path)), ms)).trace
+        kept = trace.effective_tail_count + 2
+        start = len(trace.decisions) - kept
+        assert start > 0  # the file drops rows
+        rows = read_csv(out / "trace.csv")
+        assert [int(r["iteration"]) for r in rows] == list(range(start, len(trace.decisions)))
+        assert [float(r["tested_score"]) for r in rows] == trace.tested_scores[start:].tolist()
+        assert [float(r["cutoff"]) for r in rows] == trace.cutoffs[start:].tolist()
+        assert [float(r["spacing_scale"]) for r in rows] == trace.spacing_scales[start:].tolist()
+        assert tuple(r["decision"] for r in rows) == trace.decisions[start:]
+
     def test_long_gap_triggers_rule(self, tmp_path):
         cfg = write_config(tmp_path)
         raw = json.loads(cfg.read_text())

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,23 @@ from driftguard import (
 from driftguard.errors import ConfigError
 
 from conftest import make_multiseries
+from reference import ref_stable_selection
+
+# Heavily tied scores: a few distinct values, runs of 1.0 among others, or
+# one value repeated, in any input order.
+_tied_scores = st.one_of(
+    st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=10, max_size=300)
+    ),
+    st.lists(
+        st.tuples(st.one_of(st.just(1.0), st.floats(min_value=0, max_value=1e3)), st.integers(1, 60)),
+        min_size=1,
+        max_size=8,
+    )
+    .map(lambda runs: [v for v, count in runs for _ in range(count)] + [1.0] * 10)
+    .flatmap(st.permutations),
+    st.tuples(st.floats(min_value=-1e6, max_value=1e6), st.integers(10, 300)).map(lambda vc: [vc[0]] * vc[1]),
+).map(np.asarray)
 
 
 class TestEvtFlag:
@@ -124,7 +144,7 @@ class TestEvtFlag:
         trace.to_csv(out)
         lines = out.read_text().splitlines()
         assert lines[0] == "iteration,tested_score,cutoff,spacing_scale,decision"
-        assert len(lines) == 1 + len(trace.decisions)
+        assert len(lines) == 1 + min(len(trace.decisions), trace.effective_tail_count + 2)
 
     def test_trace_csv_exact_bytes(self, tmp_path):
         trace = ThresholdTrace(
@@ -147,6 +167,56 @@ class TestEvtFlag:
             b"2,2.0,1.75,nan,absorb\r\n"
             b"3,inf,3.0,1e+16,stop\r\n"
         )
+
+    def test_trace_csv_drops_early_rows_and_keeps_iteration_numbers(self, tmp_path):
+        trace = ThresholdTrace(
+            alpha=0.05,
+            initial_fraction=0.5,
+            effective_tail_count=2,
+            n=14,
+            tested_scores=np.array([0.25, 0.5, 1e-05, 2.0, 2.5, 40.0]),
+            cutoffs=np.array([0.5, 1.0, 1.5, 1.75, 3.0, 4.0]),
+            spacing_scales=np.array([0.125, 0.0, 0.1, np.nan, 1e16, 0.5]),
+            decisions=("absorb",) * 5 + ("stop",),
+            flagged_indices=np.array([13]),
+        )
+        out = tmp_path / "trace.csv"
+        trace.to_csv(out)
+        assert out.read_bytes() == (
+            b"iteration,tested_score,cutoff,spacing_scale,decision\r\n"
+            b"2,1e-05,1.5,0.1,absorb\r\n"
+            b"3,2.0,1.75,nan,absorb\r\n"
+            b"4,2.5,3.0,1e+16,absorb\r\n"
+            b"5,40.0,4.0,0.5,stop\r\n"
+        )
+
+    @pytest.mark.parametrize("tail_count", [None, 2, 7])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trace_csv_rows_recompute_the_last_decision(self, tmp_path, seed, tail_count):
+        # odd seeds add an outlier, so the last row is a stop; even seeds
+        # space the scores almost evenly, so it is the final absorb
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            scores = rng.exponential(1.0, 300)
+            scores[7] += 40.0
+        else:
+            scores = rng.permutation(np.linspace(1.0, 2.0, 300) + rng.uniform(0.0, 1e-4, 300))
+        cfg = ThresholdConfig(tail_count=tail_count)
+        _, trace = evt_flag(scores, cfg)
+        out = tmp_path / "trace.csv"
+        trace.to_csv(out)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        tc = trace.effective_tail_count
+        assert len(rows) == tc + 2 < len(trace.decisions)
+        assert [int(r["iteration"]) for r in rows] == list(range(len(trace.decisions) - tc - 2, len(trace.decisions)))
+        assert rows[-1]["decision"] == trace.decisions[-1] == ("stop" if seed % 2 else "absorb")
+        x = [float(r["tested_score"]) for r in rows]
+        ghat = sum((j + 1) * (x[-1 - j] - x[-2 - j]) for j in range(1, tc + 1)) / tc
+        cutoff = x[-2] + math.log(1 / cfg.alpha) * ghat
+        assert float(rows[-1]["spacing_scale"]) == pytest.approx(ghat, rel=1e-12)
+        assert float(rows[-1]["cutoff"]) == pytest.approx(cutoff, rel=1e-12)
+        assert (x[-1] > cutoff) == (rows[-1]["decision"] == "stop")
 
     def test_explicit_tail_count_honored(self, rng):
         scores = rng.exponential(1.0, 200)
@@ -173,6 +243,30 @@ class TestEvtFlag:
         assert trace.decisions == tuple(decisions)
         assert decisions[-1] == "stop"
         np.testing.assert_array_equal(flags, scores >= ss[19 + len(decisions)])
+
+    @given(_tied_scores, st.sampled_from([None, 2, 5]))
+    @settings(max_examples=150, deadline=None)
+    def test_selection_matches_stable_argsort_on_tied_scores(self, scores, tail_count):
+        cfg = ThresholdConfig(tail_count=tail_count)
+        flags, trace = evt_flag(scores, cfg)
+        m0 = max(math.ceil(cfg.initial_fraction * len(scores)), 3)
+        tested = len(trace.decisions)
+        stop_at = m0 + tested - 1 if trace.decisions[-1:] == ("stop",) else None
+        ss, ref_flags, ref_indices = ref_stable_selection(scores, stop_at)
+        np.testing.assert_array_equal(flags, ref_flags)
+        np.testing.assert_array_equal(trace.flagged_indices, ref_indices)
+        assert trace.flagged_indices.dtype == ref_indices.dtype
+        np.testing.assert_array_equal(trace.tested_scores, ss[m0 : m0 + tested])
+        # the per-candidate window sum adds in another order than the library's
+        tc_max = trace.effective_tail_count
+        ghat = [
+            sum((j + 1) * (ss[i - j] - ss[i - j - 1]) for j in range(1, min(tc_max, i - 1) + 1)) / min(tc_max, i - 1)
+            for i in range(m0, m0 + tested)
+        ]
+        np.testing.assert_allclose(trace.spacing_scales, ghat, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(
+            trace.cutoffs, ss[m0 - 1 : m0 - 1 + tested] + math.log(1 / cfg.alpha) * trace.spacing_scales
+        )
 
     def test_no_candidates_gives_empty_trace(self):
         # initial_fraction 0.95 seeds the typical set with all 10 scores

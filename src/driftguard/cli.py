@@ -14,7 +14,9 @@ import json
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +114,8 @@ _NULL_KINDS = {
 # Leaf types a user value must match; numeric leaves go through _num instead.
 _LEAF_KINDS = {list: "a list", bool: "true or false", str: "a string"}
 
+_UNBOUNDED = (-math.inf, math.inf)  # a rules.ranges entry of [null, null]
+
 
 def _merge(defaults, user, path=()):
     if path in _FREE_NODES:
@@ -162,7 +166,7 @@ def load_config(path: str | None) -> dict:
     if user.get("package") == "driftguard" and isinstance(user.get("config"), dict):
         user = user["config"]  # a run manifest replays as its own config
     cfg = _merge(DEFAULT_CONFIG, user)
-    _check_values(cfg)
+    _settings(cfg)
     return cfg
 
 
@@ -172,29 +176,6 @@ def _keyed(key: str, parse, *args, **kwargs):
         return parse(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-
-
-def _check_values(cfg: dict) -> None:
-    """Parse every method, transform, side tag and range bound of ``cfg``.
-
-    So every command refuses a bad one before it reads its input, whether or
-    not it uses it. ``cfg`` is left as it is: the manifest echoes these
-    values as typed.
-    """
-    _keyed("transform.kind", _transform_kind, cfg["transform"]["kind"])
-    _keyed("scoring.method", Method.parse, cfg["scoring"]["method"])
-    for var, tag in cfg["transform"]["sides"].items():
-        _keyed(f"transform.sides.{var}", _side, tag)
-    for var, pair in cfg["rules"]["ranges"].items():
-        _range(pair, f"rules.ranges.{var}")
-    grid = cfg["grid"]
-    for i, vs in enumerate(grid["variable_sets"]):
-        if not isinstance(vs, list):
-            raise ConfigError(f"grid.variable_sets[{i}]: expected a list of variables, got {vs!r}")
-    for i, kind in enumerate(grid["transforms"]):
-        _keyed(f"grid.transforms[{i}]", _transform_kind, kind)
-    for i, method in enumerate(grid["methods"]):
-        _keyed(f"grid.methods[{i}]", Method.parse, method)
 
 
 def _num(kind: type, value, key: str):
@@ -214,74 +195,95 @@ def _num(kind: type, value, key: str):
     raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
-def _bound(x, default: float, key: str) -> float:
-    return default if x is None else _num(float, x, key)
-
-
 def _range(pair, key: str) -> tuple[float, float]:
     """A ``rules.ranges`` entry as (min, max); a null bound is unbounded."""
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{key}: expected [min, max], got {pair!r}")
-    return _bound(pair[0], -math.inf, key), _bound(pair[1], math.inf, key)
+    return tuple(u if x is None else _num(float, x, key) for x, u in zip(pair, _UNBOUNDED))
 
 
-def _rule_config(cfg: dict, variables) -> RuleConfig | None:
-    rules = cfg["rules"]
-    if not rules["enabled"]:
+def _input_rules(rules: RuleConfig | None, ms: MultiSeries) -> RuleConfig | None:
+    """``rules`` with an unbounded range for each input variable it gives none."""
+    if rules is None:
         return None
-    ranges = {
-        var: _range(rules["ranges"].get(var, [None, None]), f"rules.ranges.{var}")
-        for var in variables
-    }
-    return RuleConfig(
-        ranges=ranges,
-        max_gap_minutes=rules["max_gap_minutes"],
-        forbid_negative=rules["forbid_negative"],
-    )
+    return replace(rules, ranges={var: rules.ranges.get(var, _UNBOUNDED) for var in ms.variables})
 
 
-def _scoring_config(cfg: dict) -> ScoringConfig:
-    return ScoringConfig(**{**cfg["scoring"], "method": Method.parse(cfg["scoring"]["method"])})
-
-
-def _transform_kind(text: str) -> TransformKind:
+def _enum(kind: type, text, key: str):
+    """``kind(text)``, for TransformKind or Side; anything else is a ConfigError naming key."""
     try:
-        return TransformKind(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"unknown transform kind {text!r}") from None
-
-
-def _side(tag: str) -> Side:
-    try:
-        return Side(tag)
-    except ValueError:
-        raise ConfigError(f"unknown side tag {tag!r}") from None
+        what = "transform kind" if kind is TransformKind else "side tag"
+        raise ConfigError(f"{key}: unknown {what} {text!r}") from None
 
 
 def _ingest(args, cfg: dict) -> MultiSeries:
-    """Read ``--input``; a variable-keyed config entry naming no input variable is a ConfigError."""
+    """Read ``--input``; a config entry naming no input variable is a ConfigError."""
     ms = ingest_csv(args.input, site=cfg["site"])
+    named = {f"variables[{i}]": var for i, var in enumerate(cfg["variables"])}
     for section, node in _VARIABLE_NODES:
-        for var in cfg[section][node]:
-            if var not in ms.variables:
-                raise ConfigError(
-                    f"{section}.{node}.{var}: no such variable in input (has {list(ms.variables)})"
-                )
+        named.update((f"{section}.{node}.{var}", var) for var in cfg[section][node])
+    for key, var in named.items():
+        if var not in ms.variables:
+            raise ConfigError(f"{key}: no variable {var!r} in input (has {list(ms.variables)})")
     return ms
 
 
+class _Settings(NamedTuple):
+    """The objects a resolved config configures; see ``_settings``."""
+
+    transform: TransformKind
+    sides: dict[str, Side] | None
+    scoring: ScoringConfig
+    threshold: ThresholdConfig
+    rules: RuleConfig | None  # configured ranges only; None when the rules are disabled
+    variable_sets: list[tuple]
+    kinds: list[TransformKind]
+    methods: list[Method]
+    synth: SynthConfig
+
+
+def _settings(cfg: dict) -> _Settings:
+    """Every object ``cfg`` configures; each command builds them all before reading input."""
+    transform, scoring, rules, grid = (cfg[k] for k in ("transform", "scoring", "rules", "grid"))
+    for i, vs in enumerate(grid["variable_sets"]):
+        if not isinstance(vs, list):
+            raise ConfigError(f"grid.variable_sets[{i}]: expected a list of variables, got {vs!r}")
+    sides = {
+        var: _enum(Side, tag, f"transform.sides.{var}") for var, tag in transform["sides"].items()
+    }
+    ranges = {var: _range(pair, f"rules.ranges.{var}") for var, pair in rules["ranges"].items()}
+    rule_cfg = _keyed(
+        "rules", RuleConfig, ranges, rules["max_gap_minutes"], rules["forbid_negative"]
+    )
+    method = _keyed("scoring.method", Method.parse, scoring["method"])
+    kinds = [
+        _enum(TransformKind, t, f"grid.transforms[{i}]") for i, t in enumerate(grid["transforms"])
+    ]
+    methods = [_keyed(f"grid.methods[{i}]", Method.parse, m) for i, m in enumerate(grid["methods"])]
+    return _Settings(
+        transform=_enum(TransformKind, transform["kind"], "transform.kind"),
+        sides=sides or None,
+        scoring=_keyed("scoring", ScoringConfig, **{**scoring, "method": method}),
+        threshold=_keyed("threshold", ThresholdConfig, **cfg["threshold"]),
+        rules=rule_cfg if rules["enabled"] else None,
+        variable_sets=[tuple(vs) for vs in grid["variable_sets"]],
+        kinds=kinds,
+        methods=methods,
+        synth=_synth_config(cfg),
+    )
+
+
 def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
-    variables = tuple(cfg["variables"]) or ms.variables
-    for v in variables:
-        if v not in ms.variables:
-            raise ConfigError(f"variable {v!r} not present in input (has {list(ms.variables)})")
+    s = _settings(cfg)
     return PipelineConfig(
-        variables=variables,
-        transform=_transform_kind(cfg["transform"]["kind"]),
-        scoring=_scoring_config(cfg),
-        threshold=ThresholdConfig(**cfg["threshold"]),
-        rules=_rule_config(cfg, ms.variables),
-        sides=cfg["transform"]["sides"] or None,
+        variables=tuple(cfg["variables"]) or ms.variables,
+        transform=s.transform,
+        scoring=s.scoring,
+        threshold=s.threshold,
+        rules=_input_rules(s.rules, ms),
+        sides=s.sides,
     )
 
 
@@ -335,23 +337,19 @@ def _write_manifest(cfg: dict, out_dir: Path, extra: dict | None = None) -> None
 def _parse_combo(spec: str) -> Combo:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(
-            f"combo {spec!r} must look like vars,comma,separated:transform:method"
-        )
+        raise ConfigError(f"combo {spec!r} must look like vars,comma,separated:transform:method")
     variables = tuple(v.strip() for v in parts[0].split(",") if v.strip())
-    return Combo(variables, _transform_kind(parts[1].strip()), Method.parse(parts[2]))
+    kind = _enum(TransformKind, parts[1].strip(), f"combo {spec!r}")
+    return Combo(variables, kind, _keyed(f"combo {spec!r}", Method.parse, parts[2]))
 
 
-def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
+def _combos(s: _Settings, ms: MultiSeries, combo_flags) -> list[Combo]:
     if combo_flags:
         combos = [_parse_combo(spec) for spec in combo_flags]
     else:
-        grid = cfg["grid"]
-        var_sets = [tuple(vs) for vs in grid["variable_sets"]] or [ms.variables]
-        kinds = [_transform_kind(t) for t in grid["transforms"]]
-        methods = [Method.parse(m) for m in grid["methods"]]
         combos = [
-            Combo(vs, kind, method) for vs in var_sets for kind in kinds for method in methods
+            Combo(vs, kind, method)
+            for vs in s.variable_sets or [ms.variables] for kind in s.kinds for method in s.methods
         ]
         if not combos:
             raise ConfigError("grid.transforms and grid.methods must each name at least one")
@@ -370,7 +368,7 @@ def _combos(cfg: dict, ms: MultiSeries, combo_flags) -> list[Combo]:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    ms = synth_series(_synth_config(cfg), seed)
+    ms = synth_series(_settings(cfg).synth, seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     emit_csv(ms, out)
@@ -400,18 +398,19 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
+    s = _settings(cfg)
     ms = _ingest(args, cfg)
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
-    combos = _combos(cfg, ms, args.combo)
+    combos = _combos(s, ms, args.combo)
     reps = args.reps if args.reps is not None else cfg["reps"]
     reports = grid_evaluate(
         ms,
         combos,
-        scoring_base=_scoring_config(cfg),  # method overridden per combo
-        threshold_cfg=ThresholdConfig(**cfg["threshold"]),
-        rule_cfg=_rule_config(cfg, ms.variables),
-        sides=cfg["transform"]["sides"] or None,
+        scoring_base=s.scoring,  # method overridden per combo
+        threshold_cfg=s.threshold,
+        rule_cfg=_input_rules(s.rules, ms),
+        sides=s.sides,
         repetitions=reps,
     )
     out_dir = Path(args.out_dir)
@@ -444,8 +443,8 @@ def _figure_rows(pcfg: PipelineConfig, ms: MultiSeries, figure: str):
     else:
         classes = np.where(predicted, "outlier", "typical")
     if figure == "bivariate":
-        moved = [d.corrected_from for d in result.detections if d.corrected_from is not None]
-        neighbor = np.isin(tm.point_timestamps, moved).astype(int)
+        loc = result.located
+        neighbor = np.isin(tm.row_index, loc.at[loc.index != loc.at]).astype(int)
         vx, vy = tm.variables[:2]
         header = [f"x_{vx}", f"y_{vy}", "class", "neighbor"]
         cols = [tm.points[:, 0], tm.points[:, 1], classes, neighbor]

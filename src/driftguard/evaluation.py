@@ -298,32 +298,14 @@ def write_report_csv(reports: Sequence[EvaluationReport], path) -> None:
     """Emit the ranked grid in the fixed report column order."""
     rows = []
     for i, rep in enumerate(reports, start=1):
+        combo = rep.combo
+        row = [i, combo.variables_id, combo.transform.value, combo.method.value]
         if rep.cm is None or rep.metric_set is None:
-            row = [
-                i, rep.combo.variables_id, rep.combo.transform.value,
-                rep.combo.method.value,
-            ] + ["NaN"] * 13
+            row += ["NaN"] * 13
         else:
-            m = rep.metric_set
-            t = rep.timing
-            row = [
-                i,
-                rep.combo.variables_id,
-                rep.combo.transform.value,
-                rep.combo.method.value,
-                rep.cm.tn,
-                rep.cm.fn,
-                rep.cm.fp,
-                rep.cm.tp,
-                _fmt(m.accuracy),
-                _fmt(m.er),
-                _fmt(m.gm),
-                _fmt(m.op),
-                _fmt(m.ppv),
-                _fmt(m.npv),
-                _fmt(t.min_t, 2) if t else "",
-                _fmt(t.mu_t, 2) if t else "",
-                _fmt(t.max_t, 2) if t else "",
-            ]
+            m, t = rep.metric_set, rep.timing
+            row += [rep.cm.tn, rep.cm.fn, rep.cm.fp, rep.cm.tp]
+            row += [_fmt(x) for x in (m.accuracy, m.er, m.gm, m.op, m.ppv, m.npv)]
+            row += [_fmt(x, 2) for x in (t.min_t, t.mu_t, t.max_t)] if t else [""] * 3
         rows.append(row)
     write_csv(path, REPORT_COLUMNS, rows)

@@ -89,9 +89,7 @@ def apply_rules(ms: MultiSeries, cfg: RuleConfig) -> tuple[RuleFlags, MultiSerie
                 neg[:, j] = v < 0
 
     gap = np.zeros(n, dtype=bool)
-    if n > 1:
-        dt_minutes = np.diff(ms.timestamps) / 60.0
-        gap[1:] = dt_minutes > cfg.max_gap_minutes
+    gap[1:] = ms.series[0].gap_minutes()[1:] > cfg.max_gap_minutes
 
     flags = RuleFlags(
         variables=ms.variables,

@@ -358,6 +358,14 @@ class TestEvaluateCommand:
         assert named in caplog.text
         assert not out.exists()
 
+    def test_variables_entry_naming_no_input_variable_is_config_error(self, tmp_path, caplog):
+        data = synth(tmp_path, write_config(tmp_path))
+        cfg = write_config(tmp_path, variables=["turbidity", "ph"])
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "variables[1]: no variable 'ph' in input" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid, named",
         [
@@ -497,7 +505,7 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "synth"])
+@pytest.mark.parametrize("command", ["detect", "synth", "evaluate", "plot-data"])
 @pytest.mark.parametrize(
     "overrides, named",
     [
@@ -511,9 +519,23 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
         ({"grid": {"variable_sets": [["turbidity"], "level"]}}, "grid.variable_sets[1]"),
         ({"transform": {"kind": "nope"}}, "transform.kind: unknown transform kind 'nope'"),
         ({"scoring": {"method": "nope"}}, "scoring.method: unknown scoring method 'nope'"),
+        # the config objects' own checks, under their section
+        ({"threshold": {"alpha": 2}}, "threshold: alpha must lie in (0, 1)"),
+        ({"scoring": {"k": 0}}, "scoring: k must be at least 1"),
+        ({"scoring": {"leader_radius": 0}}, "scoring: leader_radius must be positive"),
+        ({"scoring": {"rkof_weight_sigma": -1}}, "scoring: rkof_weight_sigma must be positive"),
+        ({"threshold": {"tail_count": 1}}, "threshold: tail_count must be at least 2"),
+        ({"rules": {"max_gap_minutes": -5}}, "rules: max_gap_minutes must be positive"),
+        ({"rules": {"enabled": False, "ranges": {"turbidity": [5, 1]}}},
+         "rules: range for 'turbidity' must satisfy min < max"),
+        ({"synth": {"n_points": 1}}, "synth: n_points must be at least 2"),
+        ({"synth": {"faults": [{"variable": "ph", "index": 3, "kind": "spike", "magnitude": 1}]}},
+         "synth: fault targets unknown variable 'ph'"),
     ],
     ids=["side-tag", "range-bound", "range-shape", "grid-method", "grid-transform",
-         "grid-variable-set", "transform-kind", "scoring-method"],
+         "grid-variable-set", "transform-kind", "scoring-method", "alpha", "k", "leader-radius",
+         "rkof-weight-sigma", "tail-count", "max-gap-minutes", "reversed-range",
+         "synth-n-points", "synth-fault-variable"],
 )
 def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, command, overrides, named):
     # keys the command never reads are checked too, and no input file exists
@@ -524,6 +546,8 @@ def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, comma
         args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
     else:
         args = [command, "--input", str(tmp_path / "none.csv"), "--config", str(cfg), "--out-dir", str(out)]
+        if command == "plot-data":
+            args += ["--figure", "scores"]
     assert main(args) == EXIT_CONFIG
     assert named in caplog.text
     assert not out.exists()

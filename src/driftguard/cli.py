@@ -1,8 +1,10 @@
 """Command line pipeline: synth, detect, evaluate, plot-data.
 
 Configuration is a single JSON document; every field left unspecified is
-filled from the documented defaults and the fully resolved result is echoed
-into ``manifest.json`` so a run can be replayed exactly. Exit codes: 0 ok,
+filled from the documented defaults, ``--seed`` and ``--reps`` replace
+their keys, and the fully resolved result is echoed into ``manifest.json``
+so a run can be replayed exactly; a replay of ``evaluate --combo`` needs the
+same flags, which the manifest lists under ``combos``. Exit codes: 0 ok,
 2 configuration error, 3 data error, 4 internal error.
 """
 
@@ -12,9 +14,7 @@ import argparse
 import copy
 import json
 import logging
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,7 +36,7 @@ from .core import (
 from .errors import ConfigError, DataError, DriftguardError
 from .evaluation import Combo, grid_evaluate, write_report_csv
 from .pipeline import PipelineConfig, run_detection
-from .rules import RuleConfig
+from .rules import UNBOUNDED, RuleConfig
 from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
 from .transforms import Side, TransformKind
@@ -114,8 +114,6 @@ _NULL_KINDS = {
 # Leaf types a user value must match; numeric leaves go through _num instead.
 _LEAF_KINDS = {list: "a list", bool: "true or false", str: "a string"}
 
-_UNBOUNDED = (-math.inf, math.inf)  # a rules.ranges entry of [null, null]
-
 
 def _merge(defaults, user, path=()):
     if path in _FREE_NODES:
@@ -147,25 +145,27 @@ def _merge(defaults, user, path=()):
     return copy.deepcopy(user)
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, **flags) -> dict:
     """Load and resolve a config file against the documented defaults.
 
-    Every numeric value comes back as its key's kind, int or float.
+    ``flags`` are command-line values (``seed``, ``reps``) that replace
+    their top-level keys before the result is checked; a None flag was not
+    given. Every numeric value comes back as its key's kind, int or float.
     """
-    if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        with open(path) as fh:
-            user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    if user.get("package") == "driftguard" and isinstance(user.get("config"), dict):
-        user = user["config"]  # a run manifest replays as its own config
-    cfg = _merge(DEFAULT_CONFIG, user)
+    user = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: top level must be an object")
+        if user.get("package") == "driftguard" and isinstance(user.get("config"), dict):
+            user = user["config"]  # a run manifest replays as its own config
+    cfg = _merge(DEFAULT_CONFIG, {**user, **{k: v for k, v in flags.items() if v is not None}})
     _settings(cfg)
     return cfg
 
@@ -199,14 +199,7 @@ def _range(pair, key: str) -> tuple[float, float]:
     """A ``rules.ranges`` entry as (min, max); a null bound is unbounded."""
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{key}: expected [min, max], got {pair!r}")
-    return tuple(u if x is None else _num(float, x, key) for x, u in zip(pair, _UNBOUNDED))
-
-
-def _input_rules(rules: RuleConfig | None, ms: MultiSeries) -> RuleConfig | None:
-    """``rules`` with an unbounded range for each input variable it gives none."""
-    if rules is None:
-        return None
-    return replace(rules, ranges={var: rules.ranges.get(var, _UNBOUNDED) for var in ms.variables})
+    return tuple(u if x is None else _num(float, x, key) for x, u in zip(pair, UNBOUNDED))
 
 
 def _enum(kind: type, text, key: str):
@@ -218,15 +211,22 @@ def _enum(kind: type, text, key: str):
         raise ConfigError(f"{key}: unknown {what} {text!r}") from None
 
 
+def _in_input(key: str, variables, ms: MultiSeries) -> None:
+    """A ConfigError naming ``key`` if one of ``variables`` is not an input variable."""
+    for var in variables:
+        if var not in ms.variables:
+            raise ConfigError(f"{key}: no variable {var!r} in input (has {list(ms.variables)})")
+
+
 def _ingest(args, cfg: dict) -> MultiSeries:
     """Read ``--input``; a config entry naming no input variable is a ConfigError."""
     ms = ingest_csv(args.input, site=cfg["site"])
-    named = {f"variables[{i}]": var for i, var in enumerate(cfg["variables"])}
+    named = [(f"variables[{i}]", [var]) for i, var in enumerate(cfg["variables"])]
     for section, node in _VARIABLE_NODES:
-        named.update((f"{section}.{node}.{var}", var) for var in cfg[section][node])
-    for key, var in named.items():
-        if var not in ms.variables:
-            raise ConfigError(f"{key}: no variable {var!r} in input (has {list(ms.variables)})")
+        named += [(f"{section}.{node}.{var}", [var]) for var in cfg[section][node]]
+    named += [(f"grid.variable_sets[{i}]", vs) for i, vs in enumerate(cfg["grid"]["variable_sets"])]
+    for key, variables in named:
+        _in_input(key, variables, ms)
     return ms
 
 
@@ -246,6 +246,8 @@ class _Settings(NamedTuple):
 
 def _settings(cfg: dict) -> _Settings:
     """Every object ``cfg`` configures; each command builds them all before reading input."""
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed: must be non-negative, got {cfg['seed']}")
     transform, scoring, rules, grid = (cfg[k] for k in ("transform", "scoring", "rules", "grid"))
     for i, vs in enumerate(grid["variable_sets"]):
         if not isinstance(vs, list):
@@ -282,7 +284,7 @@ def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
         transform=s.transform,
         scoring=s.scoring,
         threshold=s.threshold,
-        rules=_input_rules(s.rules, ms),
+        rules=s.rules,
         sides=s.sides,
     )
 
@@ -334,29 +336,27 @@ def _write_manifest(cfg: dict, out_dir: Path, extra: dict | None = None) -> None
         fh.write("\n")
 
 
-def _parse_combo(spec: str) -> Combo:
+def _parse_combo(spec: str, ms: MultiSeries) -> Combo:
+    key = f"combo {spec!r}"
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"combo {spec!r} must look like vars,comma,separated:transform:method")
+        raise ConfigError(f"{key} must look like vars,comma,separated:transform:method")
     variables = tuple(v.strip() for v in parts[0].split(",") if v.strip())
-    kind = _enum(TransformKind, parts[1].strip(), f"combo {spec!r}")
-    return Combo(variables, kind, _keyed(f"combo {spec!r}", Method.parse, parts[2]))
+    _in_input(key, variables, ms)
+    kind = _enum(TransformKind, parts[1].strip(), key)
+    return Combo(variables, kind, _keyed(key, Method.parse, parts[2]))
 
 
 def _combos(s: _Settings, ms: MultiSeries, combo_flags) -> list[Combo]:
+    """The ``--combo`` flags' combos, else the grid's; ``_ingest`` checked the grid's variables."""
     if combo_flags:
-        combos = [_parse_combo(spec) for spec in combo_flags]
-    else:
-        combos = [
-            Combo(vs, kind, method)
-            for vs in s.variable_sets or [ms.variables] for kind in s.kinds for method in s.methods
-        ]
-        if not combos:
-            raise ConfigError("grid.transforms and grid.methods must each name at least one")
-    for combo in combos:
-        for v in combo.variables:
-            if v not in ms.variables:
-                raise ConfigError(f"combo variable {v!r} not in input")
+        return [_parse_combo(spec, ms) for spec in combo_flags]
+    combos = [
+        Combo(vs, kind, method)
+        for vs in s.variable_sets or [ms.variables] for kind in s.kinds for method in s.methods
+    ]
+    if not combos:
+        raise ConfigError("grid.transforms and grid.methods must each name at least one")
     return combos
 
 
@@ -366,9 +366,8 @@ def _combos(s: _Settings, ms: MultiSeries, combo_flags) -> list[Combo]:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    ms = synth_series(_settings(cfg).synth, seed)
+    cfg = load_config(args.config, seed=args.seed)
+    ms = synth_series(_settings(cfg).synth, cfg["seed"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     emit_csv(ms, out)
@@ -397,21 +396,20 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, reps=args.reps)
     s = _settings(cfg)
     ms = _ingest(args, cfg)
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
     combos = _combos(s, ms, args.combo)
-    reps = args.reps if args.reps is not None else cfg["reps"]
     reports = grid_evaluate(
         ms,
         combos,
         scoring_base=s.scoring,  # method overridden per combo
         threshold_cfg=s.threshold,
-        rule_cfg=_input_rules(s.rules, ms),
+        rule_cfg=s.rules,
         sides=s.sides,
-        repetitions=reps,
+        repetitions=cfg["reps"],
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

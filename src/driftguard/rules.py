@@ -19,33 +19,32 @@ from .errors import ConfigError
 OUT_OF_RANGE = "out_of_range"
 NEGATIVE = "negative"
 MISSING_GAP = "missing_gap"
+UNBOUNDED = (-np.inf, np.inf)  # the range of a variable with no configured one
 
 
 @dataclass(frozen=True)
 class RuleConfig:
     """Per-variable detection ranges plus the maximum allowed reading gap.
 
-    ranges: variable -> (min, max) sensor detection range; use +/-inf for an
-    unbounded side. forbid_negative defaults to True for every variable (a
-    mapping narrows it per variable). max_gap_minutes defaults to 180.
+    ranges: variable -> (min, max) sensor detection range; +/-inf leaves a side
+    unbounded, and a variable with no entry is unbounded. forbid_negative flags
+    negative readings of every variable (to floor one variable alone, turn it
+    off and give that variable a min-0 range). max_gap_minutes defaults to 180.
     """
 
     ranges: Mapping[str, tuple[float, float]]
     max_gap_minutes: float = 180.0
-    forbid_negative: Mapping[str, bool] | bool = True
+    forbid_negative: bool = True
 
     def __post_init__(self):
         # Written as not (x > 0) so that NaN is refused too.
         if not self.max_gap_minutes > 0:
             raise ConfigError("max_gap_minutes must be positive")
+        if not isinstance(self.forbid_negative, bool):
+            raise ConfigError("forbid_negative must be true or false, for every variable")
         for var, (lo, hi) in self.ranges.items():
             if not lo < hi:
                 raise ConfigError(f"range for {var!r} must satisfy min < max")
-
-    def negative_forbidden(self, variable: str) -> bool:
-        if isinstance(self.forbid_negative, bool):
-            return self.forbid_negative
-        return bool(self.forbid_negative.get(variable, True))
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,15 @@ class RuleFlags:
 def apply_rules(ms: MultiSeries, cfg: RuleConfig) -> tuple[RuleFlags, MultiSeries]:
     """Flag rule violations and return a cleaned copy with flagged cells blanked.
 
-    A timestamp gets missing_gap iff the gap to its predecessor exceeds
-    max_gap_minutes; that flag blanks the whole row (all variables) since the
-    first reading after an outage is not trusted either.
+    A variable with no ``cfg.ranges`` entry is unbounded; a range naming no
+    variable of ``ms`` is a ConfigError naming it. A timestamp gets
+    missing_gap iff the gap to its predecessor exceeds max_gap_minutes; that
+    flag blanks the whole row (all variables) since the first reading after
+    an outage is not trusted either.
     """
-    for var in ms.variables:
-        if var not in cfg.ranges:
-            raise ConfigError(f"no range configured for variable {var!r}")
+    for var in cfg.ranges:
+        if var not in ms.variables:
+            raise ConfigError(f"range for {var!r}: no such variable in {list(ms.variables)}")
 
     n = len(ms)
     d = len(ms.variables)
@@ -81,11 +82,11 @@ def apply_rules(ms: MultiSeries, cfg: RuleConfig) -> tuple[RuleFlags, MultiSerie
     neg = np.zeros((n, d), dtype=bool)
 
     for j, s in enumerate(ms.series):
-        lo, hi = cfg.ranges[s.name]
+        lo, hi = cfg.ranges.get(s.name, UNBOUNDED)
         v = s.values
         with np.errstate(invalid="ignore"):
             oor[:, j] = (v < lo) | (v > hi)
-            if cfg.negative_forbidden(s.name):
+            if cfg.forbid_negative:
                 neg[:, j] = v < 0
 
     gap = np.zeros(n, dtype=bool)

@@ -325,10 +325,7 @@ def test_criterion_7_field_dataset_optional():
             variables=("turbidity", "conductivity", "level"),
             transform=TransformKind.ONE_SIDED_DERIVATIVE,
             scoring=ScoringConfig(method=Method.KNN_SUM, k=10),
-            rules=dg.RuleConfig(
-                ranges={v: (-math.inf, math.inf) for v in ms.variables},
-                max_gap_minutes=180.0,
-            ),
+            rules=dg.RuleConfig(ranges={}, max_gap_minutes=180.0),
         )
         result = run_detection(ms, pcfg)
         cm = dg.confusion(result.predicted, dg.ground_truth(ms))

@@ -231,13 +231,11 @@ class TestMatchesPerRowReference:
         gap = st.sampled_from([10, 20] * 4 + [200])
         gaps = data.draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
         ms = make_multiseries(values, gaps_minutes=gaps)
-        ranges = {name: (-np.inf, np.inf) for name in NAMES[:d]}
-        ranges[NAMES[0]] = (-np.inf, 4.0)
         pcfg = PipelineConfig(
             variables=NAMES[:d],
             transform=TransformKind.ONE_SIDED_DERIVATIVE,
             scoring=ScoringConfig(method=data.draw(st.sampled_from(list(Method))), k=3),
-            rules=RuleConfig(ranges=ranges),
+            rules=RuleConfig(ranges={NAMES[0]: (-np.inf, 4.0)}),
         )
         try:
             result = run_detection(ms, pcfg)

@@ -95,6 +95,13 @@ class TestSynthCommand:
         b = synth(tmp_path, cfg)
         assert b.read_bytes() == content_a
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, caplog):
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed: must be non-negative, got -1" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
+
 
 class TestDetectCommand:
     def test_clean_series_no_detections(self, tmp_path):
@@ -346,8 +353,10 @@ class TestEvaluateCommand:
         [
             (":original:LOF", "combo needs at least one variable"),
             ("turbidity,turbidity:original:LOF", "combo names variable(s) ['turbidity'] more than once"),
+            ("turbidity,ph:original:LOF",
+             "combo 'turbidity,ph:original:LOF': no variable 'ph' in input (has ['turbidity', 'conductivity'])"),
         ],
-        ids=["no-variables", "repeated-variable"],
+        ids=["no-variables", "repeated-variable", "unknown-variable"],
     )
     def test_combo_flag_variables_are_checked(self, tmp_path, caplog, spec, named):
         cfg = write_config(tmp_path)
@@ -448,6 +457,9 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         ("detect", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
         ("evaluate", {"rules": {"ranges": {"turbidty": [0, 1]}}}, "rules.ranges.turbidty"),
         ("plot-data", {"transform": {"sides": {"turbidty": "keep_positive"}}}, "transform.sides.turbidty"),
+        ("evaluate", {"grid": {"variable_sets": [["turbidity"], ["turbidity", "ph"]]}},
+         "grid.variable_sets[1]: no variable 'ph' in input (has ['turbidity', 'conductivity'])"),
+        ("detect", {"grid": {"variable_sets": [["ph"]]}}, "grid.variable_sets[0]: no variable 'ph'"),
         # base-signal and fault values that would write blank or infinite cells
         ("synth", {"synth": {"base": {"turbidity": {"level": 20.0, "period": 0}}}},
          "synth.base.turbidity: period must be positive"),
@@ -482,7 +494,8 @@ def test_bad_config_value_is_config_error(tmp_path, command, section, key, value
         "method-number", "forbid_negative-text", "gap-number", "base-number", "fault-without-index",
         "variables-text", "gap-one-value", "base-unknown-key", "grid-method-number", "variable-set-text",
         "range-unknown-variable", "side-unknown-variable", "evaluate-range-unknown-variable",
-        "plot-side-unknown-variable", "base-zero-period", "base-nan-period", "base-infinite-level",
+        "plot-side-unknown-variable", "variable-set-unknown-variable",
+        "detect-variable-set-unknown-variable", "base-zero-period", "base-nan-period", "base-infinite-level",
         "base-nan-amplitude", "base-infinite-noise", "base-negative-noise", "fault-infinite-magnitude",
         "fault-nan-magnitude", "long-gap-zero-minutes", "long-gap-past-end", "fault-index-past-end",
         "fault-unknown-variable",
@@ -531,11 +544,12 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
         ({"synth": {"n_points": 1}}, "synth: n_points must be at least 2"),
         ({"synth": {"faults": [{"variable": "ph", "index": 3, "kind": "spike", "magnitude": 1}]}},
          "synth: fault targets unknown variable 'ph'"),
+        ({"seed": -5}, "seed: must be non-negative, got -5"),
     ],
     ids=["side-tag", "range-bound", "range-shape", "grid-method", "grid-transform",
          "grid-variable-set", "transform-kind", "scoring-method", "alpha", "k", "leader-radius",
          "rkof-weight-sigma", "tail-count", "max-gap-minutes", "reversed-range",
-         "synth-n-points", "synth-fault-variable"],
+         "synth-n-points", "synth-fault-variable", "negative-seed"],
 )
 def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, command, overrides, named):
     # keys the command never reads are checked too, and no input file exists
@@ -760,6 +774,22 @@ class TestManifestReplay:
         assert code == EXIT_OK
         for name in ("manifest.json", "detections.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_evaluate_manifest_echoes_reps_and_replays(self, tmp_path):
+        cfg = write_config(tmp_path, grid={"methods": ["KNN-SUM", "LOF"]})
+        data = synth(tmp_path, cfg)
+        out1, out2 = tmp_path / "orig", tmp_path / "replay"
+        run = ["evaluate", "--input", str(data), "--out-dir"]
+        assert main([*run, str(out1), "--config", str(cfg), "--reps", "4"]) == EXIT_OK
+        assert json.loads((out1 / "manifest.json").read_text())["config"]["reps"] == 4
+        assert main([*run, str(out2), "--config", str(out1 / "manifest.json")]) == EXIT_OK
+        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+        def report(out):  # columns 1-14: everything but min_t, mu_t and max_t
+            with open(out / "report.csv", newline="") as fh:
+                return [row[:14] for row in csv.reader(fh)]
+
+        assert report(out1) == report(out2)
 
     def test_synth_base_entry_is_filled_and_checked(self, tmp_path, caplog):
         data = synth(tmp_path, write_config(tmp_path))

@@ -297,13 +297,13 @@ class TestCombineFlags:
 
     def test_rule_only_flag(self):
         ms = make_multiseries({"x": [1.0, -2.0, 3.0]})
-        flags, _ = apply_rules(ms, RuleConfig(ranges={"x": (-np.inf, np.inf)}))
+        flags, _ = apply_rules(ms, RuleConfig(ranges={}))
         pred = combine_flags(flags, [], ms.timestamps)
         assert list(pred) == [False, True, False]
 
     def test_rule_and_evt_union(self):
         ms = make_multiseries({"x": [1.0, -2.0, 3.0]})
-        flags, _ = apply_rules(ms, RuleConfig(ranges={"x": (-np.inf, np.inf)}))
+        flags, _ = apply_rules(ms, RuleConfig(ranges={}))
         pred = combine_flags(flags, [int(ms.timestamps[2])], ms.timestamps)
         assert list(pred) == [False, True, True]
 

@@ -3,9 +3,11 @@
 Configuration is a single JSON document; every field left unspecified is
 filled from the documented defaults, ``--seed`` and ``--reps`` replace
 their keys, and the fully resolved result is echoed into ``manifest.json``
-so a run can be replayed exactly; a replay of ``evaluate --combo`` needs the
-same flags, which the manifest lists under ``combos``. Exit codes: 0 ok,
-2 configuration error, 3 data error, 4 internal error.
+so a run can be replayed exactly (a ``--combo`` run needs the same flags).
+Each command builds its settings, ``--combo`` flags included, once and
+before it reads the input; then it checks only that the input has every
+variable they name. Exit codes: 0 ok, 2 configuration error, 3 data error,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .core import (
 )
 from .errors import ConfigError, DataError, DriftguardError
 from .evaluation import Combo, grid_evaluate, write_report_csv
-from .pipeline import PipelineConfig, run_detection
+from .pipeline import PipelineConfig, distinct_variables, run_detection
 from .rules import UNBOUNDED, RuleConfig
 from .scoring import Method, ScoringConfig
 from .threshold import ThresholdConfig
@@ -149,8 +151,8 @@ def load_config(path: str | None, **flags) -> dict:
     """Load and resolve a config file against the documented defaults.
 
     ``flags`` are command-line values (``seed``, ``reps``) that replace
-    their top-level keys before the result is checked; a None flag was not
-    given. Every numeric value comes back as its key's kind, int or float.
+    their top-level keys; a None flag was not given. Every numeric value
+    comes back as its key's kind, int or float; ``_settings`` checks the rest.
     """
     user = {}
     if path is not None:
@@ -165,9 +167,7 @@ def load_config(path: str | None, **flags) -> dict:
             raise ConfigError(f"{path}: top level must be an object")
         if user.get("package") == "driftguard" and isinstance(user.get("config"), dict):
             user = user["config"]  # a run manifest replays as its own config
-    cfg = _merge(DEFAULT_CONFIG, {**user, **{k: v for k, v in flags.items() if v is not None}})
-    _settings(cfg)
-    return cfg
+    return _merge(DEFAULT_CONFIG, {**user, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _keyed(key: str, parse, *args, **kwargs):
@@ -211,28 +211,24 @@ def _enum(kind: type, text, key: str):
         raise ConfigError(f"{key}: unknown {what} {text!r}") from None
 
 
-def _in_input(key: str, variables, ms: MultiSeries) -> None:
-    """A ConfigError naming ``key`` if one of ``variables`` is not an input variable."""
-    for var in variables:
+def _ingest(args, cfg: dict, s: _Settings) -> MultiSeries:
+    """Read ``--input``; a config entry or ``--combo`` naming no input variable is a ConfigError."""
+    ms = ingest_csv(args.input, site=cfg["site"])
+    named = [(f"variables[{i}]", var) for i, var in enumerate(s.variables)]
+    for section, node in _VARIABLE_NODES:
+        named += [(f"{section}.{node}.{var}", var) for var in cfg[section][node]]
+    named += [(f"grid.variable_sets[{i}]", v) for i, vs in enumerate(s.variable_sets) for v in vs]
+    named += [(f"combo {spec!r}", v) for spec, combo in s.combos for v in combo.variables]
+    for key, var in named:
         if var not in ms.variables:
             raise ConfigError(f"{key}: no variable {var!r} in input (has {list(ms.variables)})")
-
-
-def _ingest(args, cfg: dict) -> MultiSeries:
-    """Read ``--input``; a config entry naming no input variable is a ConfigError."""
-    ms = ingest_csv(args.input, site=cfg["site"])
-    named = [(f"variables[{i}]", [var]) for i, var in enumerate(cfg["variables"])]
-    for section, node in _VARIABLE_NODES:
-        named += [(f"{section}.{node}.{var}", [var]) for var in cfg[section][node]]
-    named += [(f"grid.variable_sets[{i}]", vs) for i, vs in enumerate(cfg["grid"]["variable_sets"])]
-    for key, variables in named:
-        _in_input(key, variables, ms)
     return ms
 
 
 class _Settings(NamedTuple):
-    """The objects a resolved config configures; see ``_settings``."""
+    """The objects a resolved config and the ``--combo`` flags configure; see ``_settings``."""
 
+    variables: tuple[str, ...]  # empty: every input variable
     transform: TransformKind
     sides: dict[str, Side] | None
     scoring: ScoringConfig
@@ -241,17 +237,23 @@ class _Settings(NamedTuple):
     variable_sets: list[tuple]
     kinds: list[TransformKind]
     methods: list[Method]
+    combos: list[tuple[str, Combo]]  # each --combo spec and its combo
     synth: SynthConfig
 
 
-def _settings(cfg: dict) -> _Settings:
-    """Every object ``cfg`` configures; each command builds them all before reading input."""
+def _settings(cfg: dict, combo_specs=()) -> _Settings:
+    """Every object ``cfg`` and ``combo_specs`` configure, built once per command before input."""
     if cfg["seed"] < 0:
         raise ConfigError(f"seed: must be non-negative, got {cfg['seed']}")
+    if cfg["reps"] < 3:
+        raise ConfigError(f"reps: must be at least 3, got {cfg['reps']}")
     transform, scoring, rules, grid = (cfg[k] for k in ("transform", "scoring", "rules", "grid"))
+    variable_sets = []
     for i, vs in enumerate(grid["variable_sets"]):
+        key = f"grid.variable_sets[{i}]"
         if not isinstance(vs, list):
-            raise ConfigError(f"grid.variable_sets[{i}]: expected a list of variables, got {vs!r}")
+            raise ConfigError(f"{key}: expected a list of variables, got {vs!r}")
+        variable_sets.append(_keyed(key, distinct_variables, vs, "combo"))
     sides = {
         var: _enum(Side, tag, f"transform.sides.{var}") for var, tag in transform["sides"].items()
     }
@@ -264,23 +266,27 @@ def _settings(cfg: dict) -> _Settings:
         _enum(TransformKind, t, f"grid.transforms[{i}]") for i, t in enumerate(grid["transforms"])
     ]
     methods = [_keyed(f"grid.methods[{i}]", Method.parse, m) for i, m in enumerate(grid["methods"])]
+    if not (kinds and methods):
+        raise ConfigError("grid.transforms and grid.methods must each name at least one")
+    variables = tuple(cfg["variables"])
     return _Settings(
+        variables=variables and _keyed("variables", distinct_variables, variables, "pipeline"),
         transform=_enum(TransformKind, transform["kind"], "transform.kind"),
         sides=sides or None,
         scoring=_keyed("scoring", ScoringConfig, **{**scoring, "method": method}),
         threshold=_keyed("threshold", ThresholdConfig, **cfg["threshold"]),
         rules=rule_cfg if rules["enabled"] else None,
-        variable_sets=[tuple(vs) for vs in grid["variable_sets"]],
+        variable_sets=variable_sets,
         kinds=kinds,
         methods=methods,
+        combos=[(spec, _parse_combo(spec)) for spec in combo_specs],
         synth=_synth_config(cfg),
     )
 
 
-def _pipeline_config(cfg: dict, ms: MultiSeries) -> PipelineConfig:
-    s = _settings(cfg)
+def _pipeline_config(s: _Settings, ms: MultiSeries) -> PipelineConfig:
     return PipelineConfig(
-        variables=tuple(cfg["variables"]) or ms.variables,
+        variables=s.variables or ms.variables,
         transform=s.transform,
         scoring=s.scoring,
         threshold=s.threshold,
@@ -336,28 +342,22 @@ def _write_manifest(cfg: dict, out_dir: Path, extra: dict | None = None) -> None
         fh.write("\n")
 
 
-def _parse_combo(spec: str, ms: MultiSeries) -> Combo:
+def _parse_combo(spec: str) -> Combo:
     key = f"combo {spec!r}"
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{key} must look like vars,comma,separated:transform:method")
     variables = tuple(v.strip() for v in parts[0].split(",") if v.strip())
-    _in_input(key, variables, ms)
     kind = _enum(TransformKind, parts[1].strip(), key)
-    return Combo(variables, kind, _keyed(key, Method.parse, parts[2]))
+    return _keyed(key, Combo, variables, kind, _keyed(key, Method.parse, parts[2]))
 
 
-def _combos(s: _Settings, ms: MultiSeries, combo_flags) -> list[Combo]:
-    """The ``--combo`` flags' combos, else the grid's; ``_ingest`` checked the grid's variables."""
-    if combo_flags:
-        return [_parse_combo(spec, ms) for spec in combo_flags]
-    combos = [
+def _combos(s: _Settings, ms: MultiSeries) -> list[Combo]:
+    """The ``--combo`` flags' combos, else the grid's."""
+    return [combo for _, combo in s.combos] or [
         Combo(vs, kind, method)
         for vs in s.variable_sets or [ms.variables] for kind in s.kinds for method in s.methods
     ]
-    if not combos:
-        raise ConfigError("grid.transforms and grid.methods must each name at least one")
-    return combos
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +377,9 @@ def cmd_synth(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = load_config(args.config)
-    ms = _ingest(args, cfg)
-    pcfg = _pipeline_config(cfg, ms)
-    result = run_detection(ms, pcfg)
+    s = _settings(cfg)
+    ms = _ingest(args, cfg, s)
+    result = run_detection(ms, _pipeline_config(s, ms))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,14 +397,13 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, reps=args.reps)
-    s = _settings(cfg)
-    ms = _ingest(args, cfg)
+    s = _settings(cfg, args.combo or ())
+    ms = _ingest(args, cfg, s)
     if not ms.has_labels():
         raise DataError("evaluate needs label columns for every variable")
-    combos = _combos(s, ms, args.combo)
     reports = grid_evaluate(
         ms,
-        combos,
+        _combos(s, ms),
         scoring_base=s.scoring,  # method overridden per combo
         threshold_cfg=s.threshold,
         rule_cfg=s.rules,
@@ -477,8 +476,9 @@ def _write_svg_scatter(xs, ys, classes, path, size: int = 640) -> None:
 
 def cmd_plotdata(args) -> int:
     cfg = load_config(args.config)
-    ms = _ingest(args, cfg)
-    pcfg = _pipeline_config(cfg, ms)
+    s = _settings(cfg)
+    ms = _ingest(args, cfg, s)
+    pcfg = _pipeline_config(s, ms)
     if args.figure == "bivariate" and len(pcfg.variables) < 2:
         raise ConfigError("bivariate figure needs at least two variables")
     out_dir = Path(args.out_dir)

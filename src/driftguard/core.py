@@ -34,9 +34,8 @@ def _own(a, dtype) -> np.ndarray:
 
 
 def _format_epoch(seconds: int) -> str:
-    return datetime.fromtimestamp(int(seconds), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%S"
-    )
+    """Epoch seconds in emit_csv's stamp layout; a year below 1000 keeps its leading zeros."""
+    return str(np.datetime64(int(seconds), "s"))
 
 
 def _parse_iso(text: str) -> int:
@@ -309,7 +308,8 @@ def ingest_csv(
 
     Each column is parsed at once and walked cell by cell only when it
     fails, so the error raised is the one a row-by-row read meets first: the
-    earliest failing row, and within it the cell count, then the values in
+    earliest failing row, and within it the cell count, then a timestamp
+    that repeats or goes back from the row before, then the values in
     ``variables`` order, then the labels. Rows with a rejected timestamp are
     not read further, and the rejected rows are logged only when no row
     error is raised.
@@ -371,7 +371,17 @@ def ingest_csv(
         for v in wanted
         if v + LABEL_SUFFIX in label_cols
     ]
+    ts_arr = ts[parsed]
+    steps = np.diff(ts_arr)
+    back = np.flatnonzero(steps <= 0)
     errors = []  # (position, check order, message): the first in row-by-row order wins
+    if back.size:  # order -1: checked before the row's cells
+        i = int(back[0]) + 1
+        stamp, before = _format_epoch(ts_arr[i]), _format_epoch(ts_arr[i - 1])
+        what = f"duplicate timestamp {stamp}" if steps[i - 1] == 0 else (
+            f"timestamps not increasing ({stamp} after {before})"
+        )
+        errors.append((i, -1, f"{path}: row {nums[i]}, column {ts_col!r}: {what}"))
     for order, (out, v, col, parse, complaint) in enumerate(checks):
         cells = cols[col_index[col]]
         if keep is not None:
@@ -396,7 +406,6 @@ def ingest_csv(
     if not nums.size:
         raise DataError(f"{path}: no usable data rows")
 
-    ts_arr = ts[parsed]
     series = tuple(SensorSeries(v, ts_arr, values[v], labels.get(v)) for v in wanted)
     return MultiSeries(site=site or str(path), series=series)
 

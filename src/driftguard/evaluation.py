@@ -144,6 +144,10 @@ class Combo:
     def __post_init__(self):
         object.__setattr__(self, "variables", distinct_variables(self.variables, "combo"))
 
+    def __str__(self) -> str:
+        """The combo as ``evaluate --combo`` spells it: ``turbidity,level:original:LOF``."""
+        return f"{','.join(self.variables)}:{self.transform.value}:{self.method.value}"
+
     @property
     def variables_id(self) -> str:
         return "-".join(self.variables)

@@ -361,6 +361,14 @@ def ref_ingest_csv(path, variables=None, site=""):
         except ValueError:
             rejected.append(row_num)
             continue
+        if ts_list and ts <= ts_list[-1]:
+            stamp, before = (
+                datetime.fromtimestamp(x, timezone.utc).isoformat()[:19] for x in (ts, ts_list[-1])
+            )
+            what = f"duplicate timestamp {stamp}" if ts == ts_list[-1] else (
+                f"timestamps not increasing ({stamp} after {before})"
+            )
+            raise DataError(f"{path}: row {row_num}, column {ts_col!r}: {what}")
         ts_list.append(ts)
         for v in wanted:
             cell = row[col_index[v]].strip()
@@ -418,12 +426,12 @@ def ref_ingest_csv(path, variables=None, site=""):
 
 def ref_figure_rows(cfg, ms, figure):
     """(header, rows) of the bivariate or scores figure, built per cloud row."""
-    from driftguard.cli import _pipeline_config
+    from driftguard.cli import _pipeline_config, _settings
     from driftguard.core import ground_truth
     from driftguard.errors import ConfigError
     from driftguard.pipeline import run_detection
 
-    pcfg = _pipeline_config(cfg, ms)
+    pcfg = _pipeline_config(_settings(cfg), ms)
     result = run_detection(ms, pcfg)
     tm = result.matrix
     truth = ground_truth(ms).flags if ms.has_labels() else None

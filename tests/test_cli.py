@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,21 @@ from driftguard import (
     ingest_csv,
     run_detection,
 )
-from driftguard.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _pipeline_config, load_config, main
+from driftguard import cli
+from driftguard.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    _pipeline_config,
+    _settings,
+    load_config,
+    main,
+)
+from driftguard.core import BaseSignal, SynthConfig
 from driftguard.errors import ConfigError
+from driftguard.rules import RuleConfig
+from driftguard.scoring import ScoringConfig
+from driftguard.threshold import ThresholdConfig
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -56,6 +70,19 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg["threshold"]["alpha"] == 0.05
         assert cfg["scoring"]["k"] == 10
+
+    def test_default_config_builds_the_library_defaults(self):
+        # DEFAULT_CONFIG and the dataclasses each write these defaults down
+        s = _settings(load_config(None))
+        assert s.scoring == ScoringConfig()
+        assert s.threshold == ThresholdConfig()
+        assert s.rules == RuleConfig(ranges={})
+        synth_defaults = {f.name: f.default for f in fields(SynthConfig)}
+        for key in ("long_gap_at", "long_gap_minutes", "site"):
+            assert cli.DEFAULT_CONFIG["synth"][key] == synth_defaults[key], key
+        base_defaults = {f.name: f.default for f in fields(BaseSignal)}
+        for key in ("amplitude", "period", "noise_sd"):  # BaseSignal.level has no default
+            assert cli._BASE_SIGNAL[key] == base_defaults[key], key
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "c.json"
@@ -144,7 +171,7 @@ class TestDetectCommand:
         out = tmp_path / "det"
         assert main(["detect", "--input", str(data), "--config", str(cfg_path), "--out-dir", str(out)]) == EXIT_OK
         ms = ingest_csv(data)
-        trace = run_detection(ms, _pipeline_config(load_config(str(cfg_path)), ms)).trace
+        trace = run_detection(ms, _pipeline_config(_settings(load_config(str(cfg_path))), ms)).trace
         kept = trace.effective_tail_count + 2
         start = len(trace.decisions) - kept
         assert start > 0  # the file drops rows
@@ -297,7 +324,7 @@ class TestEvaluateCommand:
         # what detect runs on the same config
         cfg = load_config(str(cfg_path))
         ms = ingest_csv(data)
-        cm = confusion(run_detection(ms, _pipeline_config(cfg, ms)).predicted, ground_truth(ms))
+        cm = confusion(run_detection(ms, _pipeline_config(_settings(cfg), ms)).predicted, ground_truth(ms))
         assert [int(row[c]) for c in ("TN", "FN", "FP", "TP")] == [cm.tn, cm.fn, cm.fp, cm.tp]
 
     def test_side_for_variable_without_default(self, tmp_path):
@@ -325,13 +352,13 @@ class TestEvaluateCommand:
         row = read_csv(out / "report.csv")[0]
         assert row["TN"] != "NaN"  # an errored combo writes an all-NaN row
 
-    def test_too_few_reps_is_config_error(self, tmp_path):
-        cfg = self.grid_config(tmp_path)
-        data = synth(tmp_path, cfg)
+    def test_too_few_reps_is_config_error(self, tmp_path, caplog):
+        # refused before the (missing) input is read
         out = tmp_path / "ev"
-        code = main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out), "--reps", "2"])
+        code = main(["evaluate", "--input", str(tmp_path / "none.csv"), "--out-dir", str(out), "--reps", "2"])
         assert code == EXIT_CONFIG
-        assert not (out / "report.csv").exists()
+        assert "reps: must be at least 3, got 2" in caplog.text
+        assert not out.exists()
 
     def test_unlabeled_input_is_data_error(self, tmp_path):
         cfg = self.grid_config(tmp_path)
@@ -339,14 +366,38 @@ class TestEvaluateCommand:
         data.write_text("timestamp,turbidity,conductivity\n2017-03-12T00:00:00,1,2\n2017-03-12T01:00:00,1,2\n")
         assert main(["evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
 
-    def test_bad_combo_spec_is_config_error(self, tmp_path):
-        cfg = self.grid_config(tmp_path)
-        data = synth(tmp_path, cfg)
-        code = main([
-            "evaluate", "--input", str(data), "--config", str(cfg),
-            "--out-dir", str(tmp_path / "o"), "--combo", "turbidity-one_sided-KNN",
-        ])
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("turbidity-one_sided-KNN", "must look like vars,comma,separated:transform:method"),
+            ("turbidity:nokind:LOF", "unknown transform kind 'nokind'"),
+            ("turbidity:original:NOPE", "unknown scoring method 'NOPE'"),
+            (":original:LOF", "combo needs at least one variable"),
+            ("turbidity,turbidity:original:LOF", "combo names variable(s) ['turbidity'] more than once"),
+        ],
+        ids=["syntax", "unknown-transform", "unknown-method", "no-variables", "repeated-variable"],
+    )
+    def test_bad_combo_spec_is_config_error(self, tmp_path, caplog, spec, named):
+        # refused before the (missing) input is read, naming the flag
+        out = tmp_path / "o"
+        code = main(["evaluate", "--input", str(tmp_path / "none.csv"), "--out-dir", str(out), "--combo", spec])
         assert code == EXIT_CONFIG
+        assert f"combo {spec!r}" in caplog.text
+        assert named in caplog.text
+        assert not out.exists()
+
+    def test_failed_combo_is_logged_as_its_flag(self, tmp_path, caplog):
+        data = synth(tmp_path, write_config(tmp_path))
+        cfg = write_config(tmp_path, scoring={"k": 1})
+        out = tmp_path / "ev"
+        code = main([
+            "evaluate", "--input", str(data), "--config", str(cfg), "--out-dir", str(out),
+            "--combo", "turbidity:original:LDOF",
+        ])
+        assert code == EXIT_OK
+        row = read_csv(out / "report.csv")[0]
+        assert (row["Method"], row["TN"], row["OP"]) == ("LDOF", "NaN", "NaN")  # the error row
+        assert "combo turbidity:original:LDOF failed: " in caplog.text
 
     @pytest.mark.parametrize(
         "spec, named",
@@ -545,11 +596,22 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
         ({"synth": {"faults": [{"variable": "ph", "index": 3, "kind": "spike", "magnitude": 1}]}},
          "synth: fault targets unknown variable 'ph'"),
         ({"seed": -5}, "seed: must be non-negative, got -5"),
+        # the repetition floor and the grid's shape, in every command
+        ({"reps": 2}, "reps: must be at least 3, got 2"),
+        ({"grid": {"methods": []}}, "grid.transforms and grid.methods must each name at least one"),
+        ({"grid": {"transforms": []}}, "grid.transforms and grid.methods must each name at least one"),
+        ({"grid": {"variable_sets": [[]]}}, "grid.variable_sets[0]: combo needs at least one variable"),
+        ({"grid": {"variable_sets": [["turbidity", "turbidity"]]}},
+         "grid.variable_sets[0]: combo names variable(s) ['turbidity'] more than once"),
+        ({"variables": ["turbidity", "turbidity"]},
+         "variables: pipeline names variable(s) ['turbidity'] more than once"),
     ],
     ids=["side-tag", "range-bound", "range-shape", "grid-method", "grid-transform",
          "grid-variable-set", "transform-kind", "scoring-method", "alpha", "k", "leader-radius",
          "rkof-weight-sigma", "tail-count", "max-gap-minutes", "reversed-range",
-         "synth-n-points", "synth-fault-variable", "negative-seed"],
+         "synth-n-points", "synth-fault-variable", "negative-seed", "reps", "grid-no-methods",
+         "grid-no-transforms", "grid-empty-variable-set", "grid-repeated-variable",
+         "repeated-variable"],
 )
 def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, command, overrides, named):
     # keys the command never reads are checked too, and no input file exists
@@ -565,6 +627,34 @@ def test_every_value_is_checked_before_the_input_is_read(tmp_path, caplog, comma
     assert main(args) == EXIT_CONFIG
     assert named in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("synth", []),
+        ("detect", []),
+        ("evaluate", ["--combo", "turbidity:original:KNN-SUM"]),
+        ("plot-data", ["--figure", "timeseries"]),
+    ],
+)
+def test_each_command_builds_its_settings_once(tmp_path, monkeypatch, command, extra):
+    cfg = write_config(tmp_path)
+    data = synth(tmp_path, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _settings(*args)
+
+    monkeypatch.setattr(cli, "_settings", counted)
+    out = tmp_path / "o"
+    if command == "synth":
+        args = ["synth", "--config", str(cfg), "--out", str(out / "s.csv")]
+    else:
+        args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]
+    assert main(args + extra) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_ranges_are_echoed_as_typed(tmp_path):

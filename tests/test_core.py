@@ -146,7 +146,7 @@ class TestIngest:
             "1970-01-01T00:00:00,3\n"
             "1970-01-01T00:00:00.500000,4\n",
         )
-        with pytest.raises(DataError, match="duplicate timestamp 1970-01-01T00:00:00 at index 3"):
+        with pytest.raises(DataError, match="row 5, column 'timestamp': duplicate timestamp 1970-01-01T00:00:00$"):
             ingest_csv(path)
         path = write(
             tmp_path,
@@ -209,12 +209,31 @@ class TestIngestErrors:
             + self.OK
             + "12/03/2017,1,2,0,9\n"
             + "2017-02-30T00:00:00,1,2,0,0\n"
-            + "2017-03-12T01:00:00+01:00,1,2,0,0\n"
         )
         with caplog.at_level("WARNING", logger="driftguard.core"):
-            with pytest.raises(DataError, match="duplicate timestamp 2017-03-12T00:00:00 at index 1"):
-                ingest_csv(write(tmp_path, text))
-        assert [r.args[-1] for r in caplog.records] == [[2, 7, 8]]
+            ingest_csv(write(tmp_path, text))
+            assert [r.args[-1] for r in caplog.records] == [[2, 7, 8]]
+            caplog.clear()
+            # the same instant as row 6: named by its file row, and no warning
+            with pytest.raises(DataError, match=(
+                "row 9, column 'timestamp': duplicate timestamp 2017-03-12T00:00:00$"
+            )):
+                ingest_csv(write(tmp_path, text + "2017-03-12T01:00:00+01:00,1,2,0,0\n"))
+        assert not caplog.records
+
+    def test_stamp_order_after_cell_count_before_values(self, tmp_path):
+        text = self.HEAD + self.OK + "\n" + "junk,1,2,0,0\n" + "2017-03-11T00:00:00,x,2,0,0\n"
+        assert ingest_error(tmp_path, text) == (
+            "row 5, column 'timestamp': "
+            "timestamps not increasing (2017-03-11T00:00:00 after 2017-03-12T00:00:00)"
+        )
+        assert ingest_error(tmp_path, self.HEAD + self.OK + "2017-03-12T00:00:00,1,2,0\n") == (
+            "row 3 has 4 cells, header has 5"
+        )
+        text = self.HEAD + self.OK + self.OK + "2017-03-12T01:00:00,x,2,0,0\n"
+        assert ingest_error(tmp_path, text) == (
+            "row 3, column 'timestamp': duplicate timestamp 2017-03-12T00:00:00"
+        )
 
     def test_no_warning_when_a_row_error_is_raised(self, tmp_path, caplog):
         text = self.HEAD + "later,1,2,0,0\n" + "2017-03-12T01:00:00,1,2,0,5\n"

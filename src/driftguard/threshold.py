@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import write_csv
+from .core import float_cells, write_csv
 from .errors import ConfigError, DataError
 from .rules import RuleFlags
 
@@ -67,7 +67,7 @@ class ThresholdTrace:
         """
         start = max(0, len(self.decisions) - (self.effective_tail_count + 2))
         floats = (self.tested_scores, self.cutoffs, self.spacing_scales)
-        cols = [map(repr, np.asarray(a, np.float64)[start:].tolist()) for a in floats]
+        cols = [float_cells(a[start:]) for a in floats]
         write_csv(
             path,
             ["iteration", "tested_score", "cutoff", "spacing_scale", "decision"],

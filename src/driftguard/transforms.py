@@ -5,8 +5,9 @@ stands away from typical behavior: log stabilizes variance, differencing
 isolates spikes from trends, gap-normalized derivatives handle uneven
 sampling, the one-sided derivative discards the direction a variable moves
 fast under normal conditions, and the centered relative difference catches
-sudden two-sided changes. Cells whose formula needs an unavailable neighbor
-or a non-positive log argument are masked, never fabricated. Logs are natural.
+sudden two-sided changes. Logs are natural. A cell is valid iff its value is
+finite: a missing neighbor, a non-positive log argument or an overflow (say, a
+rise from a subnormal reading) masks the cell as NaN, never fabricated.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +67,33 @@ DIFFERENCING_KINDS = frozenset(
     k for k, span in PROVENANCE_SPAN.items() if span == (-1, 0)
 )
 
+# Each kind's formula over whole columns: the reading v, its predecessor and
+# successor (NaN past either end) and the gap to the predecessor in minutes.
+# one_sided_derivative is first_derivative clipped to its side afterwards.
+FORMULAS: Mapping[TransformKind, Callable[..., np.ndarray]] = {
+    TransformKind.ORIGINAL: lambda v, prev, nxt, dt: v,
+    TransformKind.LOG: lambda v, prev, nxt, dt: np.log(v),
+    TransformKind.FIRST_DIFFERENCE: lambda v, prev, nxt, dt: np.log(v / prev),
+    TransformKind.TIME_GAP: lambda v, prev, nxt, dt: dt,
+    TransformKind.FIRST_DERIVATIVE: lambda v, prev, nxt, dt: np.log(v / prev) / dt,
+    TransformKind.ONE_SIDED_DERIVATIVE: lambda v, prev, nxt, dt: np.log(v / prev) / dt,
+    TransformKind.RATE_OF_CHANGE: lambda v, prev, nxt, dt: (v - prev) / v,
+    TransformKind.RELATIVE_DIFFERENCE: lambda v, prev, nxt, dt: v - 0.5 * (nxt + prev),
+    TransformKind.RELATIVE_DIFFERENCE_LOG: (
+        lambda v, prev, nxt, dt: np.log(v) - 0.5 * (np.log(nxt) + np.log(prev))
+    ),
+}
+
+
+def _shift(a: np.ndarray, by: int) -> np.ndarray:
+    """``out[i] = a[i - by]``, NaN where ``i - by`` falls outside ``a``."""
+    out = np.full(len(a), np.nan)
+    if by > 0:
+        out[by:] = a[:-by]
+    else:
+        out[:by] = a[-by:]
+    return out
+
 
 def transform_column(
     series: SensorSeries,
@@ -74,80 +102,22 @@ def transform_column(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one transform to one series.
 
-    Returns (column, valid) of the series' full length; invalid cells hold NaN.
+    Returns (column, valid) of the series' full length. A cell is valid iff
+    its value is finite; invalid cells hold NaN.
     """
-    v = series.values
-    n = len(v)
-    finite = np.isfinite(v)
-    out = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-
-    prev = np.roll(v, 1)
-    prev_finite = np.roll(finite, 1)
-    prev_finite[0] = False
-
-    if kind is TransformKind.ORIGINAL:
-        valid = finite
-        out[valid] = v[valid]
-
-    elif kind is TransformKind.LOG:
-        valid = finite & (v > 0)
-        out[valid] = np.log(v[valid])
-
-    elif kind is TransformKind.TIME_GAP:
-        dt = series.gap_minutes()
-        valid = np.isfinite(dt)
-        out[valid] = dt[valid]
-
-    elif kind in (
-        TransformKind.FIRST_DIFFERENCE,
-        TransformKind.FIRST_DERIVATIVE,
-        TransformKind.ONE_SIDED_DERIVATIVE,
-    ):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = v / prev
-        valid = finite & prev_finite & (prev != 0)
-        valid &= np.where(valid, ratio > 0, False)
-        x = np.full(n, np.nan)
-        x[valid] = np.log(ratio[valid])
-        if kind is not TransformKind.FIRST_DIFFERENCE:
-            dt = series.gap_minutes()
-            x[valid] = x[valid] / dt[valid]
-        if kind is TransformKind.ONE_SIDED_DERIVATIVE:
-            if side is None:
-                raise ConfigError(
-                    f"one_sided_derivative needs a side for variable {series.name!r}"
-                )
-            x[valid] = (
-                np.minimum(x[valid], 0.0)
-                if side is Side.KEEP_NEGATIVE
-                else np.maximum(x[valid], 0.0)
-            )
-        out = x
-
-    elif kind is TransformKind.RATE_OF_CHANGE:
-        valid = finite & prev_finite & (v != 0)
-        out[valid] = (v[valid] - prev[valid]) / v[valid]
-
-    elif kind in (TransformKind.RELATIVE_DIFFERENCE, TransformKind.RELATIVE_DIFFERENCE_LOG):
-        y = v
-        ok = finite
-        if kind is TransformKind.RELATIVE_DIFFERENCE_LOG:
-            ok = finite & (v > 0)
-            y = np.where(ok, np.log(np.where(ok, v, 1.0)), np.nan)
-        nxt = np.roll(y, -1)
-        prv = np.roll(y, 1)
-        ok_next = np.roll(ok, -1)
-        ok_prev = np.roll(ok, 1)
-        ok_next[-1] = False
-        ok_prev[0] = False
-        valid = ok & ok_prev & ok_next
-        out[valid] = y[valid] - 0.5 * (nxt[valid] + prv[valid])
-
-    else:  # pragma: no cover - enum is exhaustive
+    if not isinstance(kind, TransformKind):
         raise ConfigError(f"unknown transform kind {kind!r}")
-
-    return out, valid
+    v = series.values
+    with np.errstate(all="ignore"):
+        col = FORMULAS[kind](v, _shift(v, 1), _shift(v, -1), series.gap_minutes())
+    valid = np.isfinite(col)
+    col = np.where(valid, col, np.nan)
+    if kind is TransformKind.ONE_SIDED_DERIVATIVE:
+        if side is None:
+            raise ConfigError(f"one_sided_derivative needs a side for variable {series.name!r}")
+        # Clipping before the mask would turn an infinite cell into a valid 0.0.
+        col = (np.minimum if side is Side.KEEP_NEGATIVE else np.maximum)(col, 0.0)
+    return col, valid
 
 
 def resolve_sides(

@@ -222,6 +222,28 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(data), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            {"kind": "first_difference"},
+            {"kind": "first_derivative"},
+            {"kind": "rate_of_change"},
+            {"kind": "one_sided_derivative", "sides": {"turbidity": "keep_positive"}},
+        ],
+    )
+    def test_subnormal_reading_is_masked_not_scored(self, tmp_path, transform):
+        # its ratio to a neighbour overflows; the overflowing cell leaves the
+        # cloud instead of reaching normalization as an infinity
+        data = synth(tmp_path, write_config(tmp_path))
+        ms = ingest_csv(data)
+        turbidity = ms.get("turbidity").values.copy()
+        turbidity[300] = 5e-324
+        series = tuple(s.with_values(turbidity) if s.name == "turbidity" else s for s in ms.series)
+        emit_csv(MultiSeries(ms.site, series), data)
+        cfg = write_config(tmp_path, transform=transform)
+        code = main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_OK
+
     def test_unknown_variable_is_config_error(self, tmp_path):
         data = synth(tmp_path, write_config(tmp_path))
         cfg = write_config(tmp_path, variables=["ph"])  # reuses the same data file

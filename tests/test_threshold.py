@@ -164,7 +164,7 @@ class TestEvtFlag:
             b"iteration,tested_score,cutoff,spacing_scale,decision\r\n"
             b"0,0.5,1.0,0.0,absorb\r\n"
             b"1,1e-05,1.5,0.1,absorb\r\n"
-            b"2,2.0,1.75,nan,absorb\r\n"
+            b"2,2.0,1.75,,absorb\r\n"
             b"3,inf,3.0,1e+16,stop\r\n"
         )
 
@@ -185,7 +185,7 @@ class TestEvtFlag:
         assert out.read_bytes() == (
             b"iteration,tested_score,cutoff,spacing_scale,decision\r\n"
             b"2,1e-05,1.5,0.1,absorb\r\n"
-            b"3,2.0,1.75,nan,absorb\r\n"
+            b"3,2.0,1.75,,absorb\r\n"
             b"4,2.5,3.0,1e+16,absorb\r\n"
             b"5,40.0,4.0,0.5,stop\r\n"
         )

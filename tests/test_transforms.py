@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from driftguard import (
     build_matrix,
     transform_column,
 )
+from driftguard.transforms import PROVENANCE_SPAN
 
 from conftest import make_multiseries
 
@@ -186,6 +188,49 @@ class TestDirectRecomputation:
         b, vb = transform_column(series(c * vals, gaps), TransformKind.FIRST_DERIVATIVE)
         np.testing.assert_array_equal(va, vb)
         np.testing.assert_allclose(a[va], b[vb], rtol=1e-12, atol=1e-12)
+
+
+def sided_kinds():
+    """Every (kind, side) pair transform_column accepts."""
+    for kind in TransformKind:
+        if kind is TransformKind.ONE_SIDED_DERIVATIVE:
+            yield from ((kind, side) for side in Side)
+        else:
+            yield kind, None
+
+
+class TestValidity:
+    """A cell is valid iff its value is finite; every invalid cell is NaN."""
+
+    EXTREMES = [5e-324, 1.7e308, -1.7e308, 0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 10.0]
+
+    @pytest.mark.parametrize("kind,side", list(sided_kinds()))
+    def test_extreme_readings_are_masked_not_kept(self, kind, side):
+        # every ordered triple of extremes sits side by side somewhere, and
+        # the gaps run from one minute, so overflowing ratios and sums occur
+        vals = list(itertools.chain.from_iterable(itertools.product(self.EXTREMES, repeat=3)))
+        gaps = [1 + i % 7 for i in range(len(vals) - 1)]
+        col, valid = transform_column(series(vals, gaps_minutes=gaps), kind, side)
+        assert np.isfinite(col[valid]).all()
+        assert np.isnan(col[~valid]).all()
+
+    @pytest.mark.parametrize("kind,side", list(sided_kinds()))
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_reading_reaches_only_the_cells_of_its_span(self, kind, side, vals, data):
+        j = data.draw(st.integers(0, len(vals) - 1))
+        changed = list(vals)
+        changed[j] = data.draw(st.floats(min_value=1e-3, max_value=1e3))
+        gaps = [1 + i % 5 for i in range(len(vals) - 1)]
+        a, va = transform_column(series(vals, gaps), kind, side)
+        b, vb = transform_column(series(changed, gaps), kind, side)
+        reach = set() if kind is TransformKind.TIME_GAP else {j - o for o in PROVENANCE_SPAN[kind]}
+        outside = np.array([i not in reach for i in range(len(vals))], dtype=bool)
+        np.testing.assert_array_equal(va[outside], vb[outside])
+        np.testing.assert_array_equal(a[outside], b[outside])
 
 
 class TestBuildMatrix:

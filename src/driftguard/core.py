@@ -9,8 +9,10 @@ silently folded into distance computations.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, islice
@@ -200,21 +202,26 @@ _FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # Y, M, D, h,
 _NAN_IF_BLANK = {"": "nan"}
 _CHUNK_ROWS = 256  # under the gc's default youngest-generation threshold of 700
 _LABEL_CODES = {"": 0, "0": 0, "1": 1}
+# The C reader's spelling of a blank cell: float() reads it as NaN, and a file
+# that spells a cell so itself is left to the record reader
+_BLANK = "+nan"
+_BLANK_AFTER_COMMA = re.compile(r",(?=,|$)", re.MULTILINE)
 
 
-def _canonical_stamps(stamps) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_stamps(stamps, sized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the cells spelled exactly like emit_csv's stamps, and their epoch seconds.
 
-    The fields are read off the digits of the whole column at once, and
-    numpy's calendar gives each month's first day and length. Cells whose
-    fields name no instant (year 0, month 13, February 30th, hour 24, second
-    60) are left out with the other cells, which all take ``_parse_iso``.
+    ``sized`` marks the cells exactly 19 characters long. The fields are
+    read off the digits of the whole column at once, and numpy's calendar
+    gives each month's first day and length. Cells whose fields name no
+    instant (year 0, month 13, February 30th, hour 24, second 60) are left
+    out with the other cells, which all take ``_parse_iso``.
     """
     n = len(stamps)
     codes = np.array(stamps, dtype="U19").view(np.uint32).reshape(n, 19)  # longer cells cut
     digits = codes.astype(np.int64) - ord("0")
     ok = np.where(_DIGIT_SLOT, (digits >= 0) & (digits <= 9), codes == _CANONICAL).all(axis=1)
-    ok &= np.fromiter(map(len, stamps), np.intp, n) == 19
+    ok &= sized
     digits[~ok] = 0  # keeps the calendar lookups below in range for the other cells
     year, month, day, hour, minute, second = (
         digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _FIELDS
@@ -295,62 +302,74 @@ def _label_column(cells):
     return _walk(cells, _LABEL_CODES.__getitem__, np.uint8)
 
 
-def ingest_csv(
-    path,
-    variables: Sequence[str] | None = None,
-    site: str = "",
-) -> MultiSeries:
-    """Read a MultiSeries from CSV.
+def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: list[str]):
+    """``_read_records``' result for a file numpy's C reader can take whole, else None.
 
-    When ``variables`` is None every non-timestamp, non-label column is a
-    variable. Rows whose timestamp does not parse are rejected and their row
-    numbers logged; blank numeric cells become NaN; blank rows are skipped.
-
-    Each column is parsed at once and walked cell by cell only when it
-    fails, so the error raised is the one a row-by-row read meets first: the
-    earliest failing row, and within it the cell count, then a timestamp
-    that repeats or goes back from the row before, then the values in
-    ``variables`` order, then the labels. Rows with a rejected timestamp are
-    not read further, and the rejected rows are logged only when no row
-    error is raised.
+    Decodes the file's bytes with universal newlines, which split it into
+    the lines the csv module sees when no cell is quoted. Declines, and never
+    raises or logs, wherever the record reader could meet an error or a
+    rejected row: a quote or NUL, an undecodable file, a line longer than the
+    csv field limit, no data rows, a stamp ``_parse_iso`` refuses, stamps
+    that do not strictly increase, a row ``loadtxt`` refuses (a wrong cell
+    count or a value it cannot read), a label other than blank, ``0`` or
+    ``1``. The stamps are checked before ``loadtxt``, the costliest step,
+    runs. ``loadtxt`` reads floats with the parser ``float()`` calls.
     """
+    if b'"' in data or b"\0" in data:  # before decoding: a quoted file costs next to nothing
+        return None
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        first = _records(path, reader, 1)
-        if not first:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in first[0]]
-        if len(header) < 2:
-            raise DataError(f"{path}: header must contain a timestamp column plus variables")
-        ts_col = header[0]
-        data_cols = header[1:]
-        for i, name in enumerate(data_cols, start=2):
-            if not name:
-                raise DataError(f"{path}: column {i} of the header has no name")
-        repeated = [c for c in data_cols if data_cols.count(c) > 1]
-        if repeated:
-            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-        label_cols = {c for c in data_cols if c.endswith(LABEL_SUFFIX)}
-        value_cols = [c for c in data_cols if c not in label_cols]
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError:
+        return None
+    if _BLANK in text:
+        return None
+    lines = _BLANK_AFTER_COMMA.sub("," + _BLANK, text).split("\n")[1:]
+    del text
+    lines = [line for line in lines if line.strip()]  # the record reader skips blank lines
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # a canonical stamp is a line's first 19 characters, followed by a comma
+    heads = np.array(lines, "U20")
+    parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
+    for i in np.flatnonzero(~parsed).tolist():
+        try:
+            ts[i] = _parse_iso(lines[i].partition(",")[0])
+        except ValueError:
+            return None
+    if (np.diff(ts) <= 0).any():
+        return None
+    del heads
+    index = {name: i for i, name in enumerate(header)}
+    kinds = ["U1"] * len(header)  # the stamp, read above, and every cell no one reads
+    for v in wanted:
+        kinds[index[v]] = "f8"
+    for v in labelled:
+        kinds[index[v + LABEL_SUFFIX]] = f"U{len(_BLANK)}"
+    dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+    try:
+        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    labels = {}
+    for v in labelled:
+        cells = rows[f"f{index[v + LABEL_SUFFIX]}"]
+        ones = cells == "1"
+        if not (ones | (cells == "0") | (cells == _BLANK)).all():
+            return None
+        labels[v] = ones.astype(np.uint8)
+    return ts, {v: rows[f"f{index[v]}"] for v in wanted}, labels
 
-        if variables is None:
-            wanted = value_cols
-        else:
-            wanted = list(variables)
-            missing = [v for v in wanted if v not in value_cols]
-            if missing:
-                raise DataError(
-                    f"{path}: header mismatch; missing variable columns {missing}, "
-                    f"found {value_cols}"
-                )
-        cols, row_nums, width_error = _read_columns(path, reader, len(header))
 
+def _read_records(path, reader, header: list[str], wanted: list[str], labelled: list[str]):
+    """(timestamps, values by variable, labels by variable) of the data rows left in ``reader``.
+
+    Raises the DataError a row-by-row read meets first, and logs the
+    rejected rows when it raises none.
+    """
+    cols, row_nums, width_error = _read_columns(path, reader, len(header))
+    ts_col = header[0]
     stamps = cols[0]
-    parsed, ts = _canonical_stamps(stamps)
+    parsed, ts = _canonical_stamps(stamps, np.fromiter(map(len, stamps), np.intp, len(stamps)) == 19)
     blank = np.zeros(len(stamps), dtype=bool)
     for i in np.flatnonzero(~parsed).tolist():
         try:
@@ -362,14 +381,13 @@ def ingest_csv(
 
     keep = None if parsed.all() else parsed.tolist()
     nums = row_nums[parsed]
-    col_index = {name: i + 1 for i, name in enumerate(data_cols)}
+    col_index = {name: i for i, name in enumerate(header)}
     values: dict[str, np.ndarray] = {}
     labels: dict[str, np.ndarray] = {}
     checks = [(values, v, v, _value_column, "unparseable value {!r}") for v in wanted]
     checks += [
         (labels, v, v + LABEL_SUFFIX, _label_column, "label must be 0 or 1, got {!r}")
-        for v in wanted
-        if v + LABEL_SUFFIX in label_cols
+        for v in labelled
     ]
     ts_arr = ts[parsed]
     steps = np.diff(ts_arr)
@@ -405,8 +423,73 @@ def ingest_csv(
         )
     if not nums.size:
         raise DataError(f"{path}: no usable data rows")
+    return ts_arr, values, labels
 
-    series = tuple(SensorSeries(v, ts_arr, values[v], labels.get(v)) for v in wanted)
+
+def ingest_csv(
+    path,
+    variables: Sequence[str] | None = None,
+    site: str = "",
+) -> MultiSeries:
+    """Read a MultiSeries from CSV.
+
+    When ``variables`` is None every non-timestamp, non-label column is a
+    variable. Rows whose timestamp does not parse are rejected and their row
+    numbers logged; blank numeric cells become NaN; blank rows are skipped.
+
+    The file is read once, as bytes. A file with no quote, no NUL and
+    nothing the record reader would refuse or reject is read whole by numpy's
+    C text reader (``_read_plain``); any other file falls back to the record
+    reader (``_read_records``), which reads the same bytes, gives the same
+    result and alone writes every error and warning.
+
+    The record reader parses each column at once and walks it cell by cell
+    only when it fails, so the error raised is the one a row-by-row read
+    meets first: the earliest failing row, and within it the cell count,
+    then a timestamp that repeats or goes back from the row before, then the
+    values in ``variables`` order, then the labels. Rows with a rejected
+    timestamp are not read further, and the rejected rows are logged only
+    when no row error is raised.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    text = io.TextIOWrapper(io.BytesIO(data), newline="")
+    reader = csv.reader(text)
+    first = _records(path, reader, 1)
+    if not first:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in first[0]]
+    if len(header) < 2:
+        raise DataError(f"{path}: header must contain a timestamp column plus variables")
+    data_cols = header[1:]
+    for i, name in enumerate(data_cols, start=2):
+        if not name:
+            raise DataError(f"{path}: column {i} of the header has no name")
+    repeated = [c for c in data_cols if data_cols.count(c) > 1]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+    label_cols = {c for c in data_cols if c.endswith(LABEL_SUFFIX)}
+    value_cols = [c for c in data_cols if c not in label_cols]
+
+    if variables is None:
+        wanted = value_cols
+    else:
+        wanted = list(variables)
+        missing = [v for v in wanted if v not in value_cols]
+        if missing:
+            raise DataError(
+                f"{path}: header mismatch; missing variable columns {missing}, "
+                f"found {value_cols}"
+            )
+    labelled = [v for v in wanted if v + LABEL_SUFFIX in label_cols]
+    read = _read_plain(data, header, wanted, labelled)
+    if read is None:
+        read = _read_records(path, reader, header, wanted, labelled)
+    ts, values, labels = read
+    series = tuple(SensorSeries(v, ts, values[v], labels.get(v)) for v in wanted)
     return MultiSeries(site=site or str(path), series=series)
 
 

@@ -142,6 +142,8 @@ class LeaderClustering:
 def normalize(points: np.ndarray) -> PointCloud:
     """Min-max scale each dimension into [0, 1]; degenerate dimensions map to 0.
 
+    A dimension whose span exceeds the float range is scaled by halves, whose
+    differences stay finite; every other dimension is scaled as it is.
     Idempotent: normalizing an already-normalized cloud is the identity.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -151,7 +153,12 @@ def normalize(points: np.ndarray) -> PointCloud:
         raise DataError("cannot normalize non-finite points")
     mins = pts.min(axis=0)
     maxs = pts.max(axis=0)
-    span = maxs - mins
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    if np.isinf(span).any():
+        half = np.where(np.isinf(span), 0.5, 1.0)
+        pts, mins, maxs = pts * half, mins * half, maxs * half
+        span = maxs - mins
     safe = np.where(span > 0, span, 1.0)
     scaled = (pts - mins) / safe
     scaled[:, span == 0] = 0.0

@@ -244,6 +244,20 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_OK
 
+    def test_readings_spanning_past_the_float_range_are_scored(self, tmp_path):
+        # max - min of the turbidity column overflows; normalization scales it by halves
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--out", str(data), "--seed", "3"]) == EXIT_OK
+        ms = ingest_csv(data)
+        turbidity = ms.get("turbidity").values.copy()
+        turbidity[[100, 200]] = [1.7e308, -1.7e308]
+        series = tuple(s.with_values(turbidity) if s.name == "turbidity" else s for s in ms.series)
+        emit_csv(MultiSeries(ms.site, series), data)
+        cfg = tmp_path / "original.json"
+        cfg.write_text(json.dumps({"transform": {"kind": "original"}, "rules": {"forbid_negative": False}}))
+        code = main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_OK
+
     def test_unknown_variable_is_config_error(self, tmp_path):
         data = synth(tmp_path, write_config(tmp_path))
         cfg = write_config(tmp_path, variables=["ph"])  # reuses the same data file

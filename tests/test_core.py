@@ -1,5 +1,7 @@
 import logging
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -377,6 +379,175 @@ class TestMatchesRowReference:
                 got = _outcome(ingest_csv, path, variables, "driftguard.core")
             want = _outcome(ref.ref_ingest_csv, path, variables, "reference")
         assert got == want
+
+
+# --- numpy's C reader against the row-by-row reference ------------------------
+
+_EMITTED_VALUES = ["", "", "nan", "-nan", "-0.0", "inf", "-inf", "1e999", "-1e999", "5e-324"]
+
+
+@st.composite
+def emitted_cases(draw):
+    """(CSV text, variables) in emit_csv's layout: blank cells, odd floats, any line ending."""
+    names = draw(st.permutations(["turbidity", "conductivity", "level"]))
+    names = names[: draw(st.integers(1, 3))]
+    labelled = [v for v in names if draw(st.booleans())]
+    header = ["timestamp", *names, *(v + "_label" for v in labelled)]
+    values = st.one_of(st.floats(width=64).map(repr), st.sampled_from(_EMITTED_VALUES))
+    epoch = draw(st.integers(-2_000_000_000, 4_000_000_000))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        epoch += draw(st.integers(1, 10**6))
+        stamp = np.datetime_as_string(np.datetime64(epoch, "s"), unit="s")
+        cells = [str(stamp), *(draw(values) for _ in names)]
+        cells += [draw(st.sampled_from(["", "0", "1"])) for _ in labelled]
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    variables = draw(st.one_of(st.none(), st.permutations(names).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k])))))
+    return text, variables
+
+
+def _spied_outcome(path, variables):
+    """ingest_csv's outcome, and whether the record reader ran."""
+    with mock.patch.object(core, "_read_columns", wraps=core._read_columns) as spy:
+        got = _outcome(ingest_csv, path, variables, "driftguard.core")
+    return got, spy.called
+
+
+class TestPlainReader:
+    """numpy's C reader answers as the record reader does, or leaves the file to it."""
+
+    @given(emitted_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_emitted_files_skip_the_record_reader(self, case):
+        text, variables = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_text(text, newline="")
+            got, record_reader_ran = _spied_outcome(path, variables)
+            want = _outcome(ref.ref_ingest_csv, path, variables, "reference")
+        assert got == want
+        assert not record_reader_ran
+
+    HEAD = "timestamp,a,b,a_label\n"
+    ROW1 = "2017-03-12T00:00:00,1,2,0\n"
+    ROW2 = "2017-03-12T01:00:00,3,4,1\n"
+
+    DECLINED = {
+        "quoted cell": HEAD + ROW1 + '2017-03-12T01:00:00,"3",4,1\n',
+        "NUL": HEAD + ROW1 + "2017-03-12T01:00:00,3\0,4,1\n",
+        # numpy would drop the NUL and read the stamp; the record reader rejects the row
+        "NUL after a stamp": HEAD + ROW1 + "2017-03-12T00:30:00\0,3,4,1\n" + ROW2,
+        # one record to the csv module, two rows of four cells to numpy (b is not read)
+        "quoted cell spanning two lines": HEAD + '2017-03-12T01:00:00,3,"x,0\n2017-03-12T02:00:00,4,y",1\n',
+        "short row": HEAD + ROW1 + "2017-03-12T01:00:00,3,4\n",
+        "long row": HEAD + ROW1 + ROW2 + "2017-03-12T02:00:00,3,4,1,5\n",
+        "all-blank row": HEAD + ROW1 + ",,,\n" + ROW2,
+        "underscore digits": HEAD + ROW1 + "2017-03-12T01:00:00,1_000,4,1\n",
+        "non-ASCII digit": HEAD + ROW1 + "2017-03-12T01:00:00,١,4,1\n",
+        "whitespace-only value": HEAD + ROW1 + "2017-03-12T01:00:00, ,4,1\n",
+        "bad value": HEAD + ROW1 + "2017-03-12T01:00:00,x,4,1\n",
+        "blank stamp": HEAD + ROW1 + ",3,4,1\n",
+        "padded label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4, 1\n",
+        "bad label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,10\n",
+        "blank cell spelled as the C reader fills it": HEAD + ROW1 + "2017-03-12T01:00:00,+nan,4,1\n",
+        "rejected stamp between good rows": HEAD + "\n" + ROW1 + "\n" + "later,3,4,1\n" + ROW2,
+        "impossible stamp": HEAD + ROW1 + "2017-02-30T00:00:00,3,4,1\n" + ROW2,
+        # the code points either side of the digits in a digit slot
+        "colon for a digit": HEAD + ROW1 + "2017-03-12T00:30:0:,3,4,1\n" + ROW2,
+        "slash for a digit": HEAD + ROW1 + "2017-03-12T00:30:/0,3,4,1\n" + ROW2,
+        "duplicate stamp": HEAD + ROW1 + ROW1,
+        "stamps going back": HEAD + ROW2 + ROW1,
+        "header only": HEAD,
+        "empty lines only": HEAD + "\n\r\n\r",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DECLINED))
+    def test_declined_files_take_the_record_reader(self, tmp_path, case):
+        path = write(tmp_path, self.DECLINED[case])
+        variables = ["a"] if case == "quoted cell spanning two lines" else None
+        got, record_reader_ran = _spied_outcome(path, variables)
+        assert got == _outcome(ref.ref_ingest_csv, path, variables, "reference")
+        assert record_reader_ran
+        # the C reader declines; the record reader reads these files whole
+        if case in ("padded label", "all-blank row", "NUL after a stamp",
+                    "quoted cell spanning two lines"):
+            assert got[0][0] == str(path)
+
+    def test_rejected_stamp_warning_names_the_file_row(self, tmp_path):
+        got, record_reader_ran = _spied_outcome(
+            write(tmp_path, self.DECLINED["rejected stamp between good rows"]), None
+        )
+        assert record_reader_ran
+        assert got[1][0].endswith("rejected 1 rows with unparseable timestamp timestamps: [5]")
+
+    def test_rejected_stamp_is_declined_before_loadtxt(self, tmp_path):
+        path = write(tmp_path, self.DECLINED["rejected stamp between good rows"])
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            ingest_csv(path)
+        assert not spy.called
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_a_pipe_is_read_once(self, tmp_path, quoted):
+        # 56 KB, as ``--input <(zcat x.csv.gz)`` passes it: a second open would start past the header
+        stamps = np.arange(EPOCH_2017, EPOCH_2017 + 60 * 2000, 60).astype("datetime64[s]")
+        q = '"' if quoted else ""
+        text = self.HEAD + "".join(f"{q}{t}{q},1.5,,1\n" for t in np.datetime_as_string(stamps, unit="s"))
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got, record_reader_ran = _spied_outcome(f"/dev/fd/{read_end}", None)
+        finally:
+            writer.join(10)
+            os.close(read_end)
+        want = _outcome(ref.ref_ingest_csv, write(tmp_path, text), None, "reference")
+        assert got[0][1:] == want[0][1:]  # the site names the path
+        assert record_reader_ran == quoted
+
+    ACCEPTED = {
+        "blank cells": "timestamp,a,b\n2017-03-12T00:00:00,,\n2017-03-12T01:00:00,1,\n",
+        "blank last cell without a final newline": "timestamp,a,b\n" + ROW1[:-3] + "\n2017-03-12T01:00:00,3,",
+        "carriage returns": "timestamp,a,b\r2017-03-12T00:00:00,1,2\r\r2017-03-12T01:00:00,,4\r",
+        "stamp with an offset": HEAD + ROW1 + "2017-03-12T02:00:00+01:00,3,4,1\n",
+        "blank label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,\n",
+        "padded stamp": HEAD + ROW1 + " " * 14 + ROW2,
+        "whitespace-only lines": HEAD + ROW1 + "  \n\t\x0c\n" + ROW2 + " ",
+    }
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_accepted_files_skip_the_record_reader(self, tmp_path, case):
+        path = tmp_path / "data.csv"
+        path.write_text(self.ACCEPTED[case], newline="")
+        got, record_reader_ran = _spied_outcome(path, None)
+        assert got == _outcome(ref.ref_ingest_csv, path, None, "reference")
+        assert not record_reader_ran
+
+    def test_undecodable_and_oversized_files_keep_their_messages(self, tmp_path):
+        # past the first block the header read decodes, so the header checks pass
+        stamps = np.arange(EPOCH_2017, EPOCH_2017 + 60 * 500, 60).astype("datetime64[s]")
+        rows = "".join(f"{t},1,2,0\n" for t in np.datetime_as_string(stamps, unit="s"))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((self.HEAD + rows).encode() + b"2017-03-13T01:00:00,\xe9,4,1\n")
+        got, record_reader_ran = _spied_outcome(path, None)
+        # the position within the 8 KB block the record reader decoded, as a file read gives it
+        assert got[0][1].endswith("cannot decode: 'utf-8' codec can't decode byte 0xe9 "
+                                  "in position 4850: invalid continuation byte")
+        assert record_reader_ran
+        path = write(tmp_path, self.HEAD + self.ROW1 + "2017-03-12T01:00:00,3,4," + "1" * 200_000 + "\n")
+        got, record_reader_ran = _spied_outcome(path, None)
+        assert got[0][1].endswith("line 3: field larger than field limit (131072)")
+        assert record_reader_ran
 
 
 class TestEmitRoundtrip:

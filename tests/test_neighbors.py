@@ -46,6 +46,14 @@ class TestNormalize:
         with pytest.raises(DataError, match="zero points"):
             normalize(np.empty((0, 2)))
 
+    def test_span_past_the_float_range_is_scaled_by_halves(self, rng):
+        # the span of column 0 overflows; column 1 is scaled exactly as on its own
+        pts = np.column_stack([[2.0**1023, -(2.0**1023), 0.0, 5e-324, 2.0**1022], rng.normal(3, 10, 5)])
+        cloud = normalize(pts)  # a RuntimeWarning fails the suite
+        np.testing.assert_array_equal(cloud.points[:, 0], [1.0, 0.0, 0.5, 0.5, 0.75])
+        assert cloud.points[:, 1].tobytes() == normalize(pts[:, 1:]).points.tobytes()
+        np.testing.assert_array_equal(normalize(cloud.points).points, cloud.points)
+
 
 class TestKnn:
     def test_1d_distance_sums(self):

@@ -206,26 +206,38 @@ _LABEL_CODES = {"": 0, "0": 0, "1": 1}
 # that spells a cell so itself is left to the record reader
 _BLANK = "+nan"
 _BLANK_AFTER_COMMA = re.compile(r",(?=,|$)", re.MULTILINE)
+# The C reader parses a file in pieces of about this many characters, each cut
+# at a line end, so only a piece's lines and its rows are held as Python objects
+_PLAIN_CHARS = 1 << 18
+# Width of the C reader's label cells: a cell that fills it may have been cut short
+_LABEL_CHARS = 8
+_EMIT_ROWS = 4096  # rows emit_csv formats at a time
 
 
-def _canonical_stamps(stamps, sized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_stamps(stamps: np.ndarray, sized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the cells spelled exactly like emit_csv's stamps, and their epoch seconds.
 
-    ``sized`` marks the cells exactly 19 characters long. The fields are
-    read off the digits of the whole column at once, and numpy's calendar
-    gives each month's first day and length. Cells whose fields name no
-    instant (year 0, month 13, February 30th, hour 24, second 60) are left
-    out with the other cells, which all take ``_parse_iso``.
+    ``stamps`` is a string array at least 19 characters wide, whose first 19
+    are read; ``sized`` marks the cells exactly 19 characters long. The
+    digits are laid out one row per character slot, so each check and each
+    field's Horner sum runs along whole rows, and numpy's calendar gives
+    each month's first day and length. Cells whose fields name no instant
+    (year 0, month 13, February 30th, hour 24, second 60) are left out with
+    the other cells, which all take ``_parse_iso``.
     """
-    n = len(stamps)
-    codes = np.array(stamps, dtype="U19").view(np.uint32).reshape(n, 19)  # longer cells cut
-    digits = codes.astype(np.int64) - ord("0")
-    ok = np.where(_DIGIT_SLOT, (digits >= 0) & (digits <= 9), codes == _CANONICAL).all(axis=1)
+    codes = stamps.view(np.uint32).reshape(len(stamps), stamps.itemsize // 4)[:, :19].T
+    digits = codes.astype(np.int32, order="C") - ord("0")
+    slot, canonical = _DIGIT_SLOT[:, None], _CANONICAL[:, None]
+    ok = np.where(slot, (digits >= 0) & (digits <= 9), codes == canonical).all(axis=0)
     ok &= sized
-    digits[~ok] = 0  # keeps the calendar lookups below in range for the other cells
-    year, month, day, hour, minute, second = (
-        digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _FIELDS
-    )
+    digits[:, ~ok] = 0  # keeps the calendar lookups below in range for the other cells
+    fields = []
+    for a, b in _FIELDS:
+        number = digits[a]
+        for row in digits[a + 1 : b]:
+            number = number * 10 + row
+        fields.append(number)
+    year, month, day, hour, minute, second = fields
     months = (year - 1970) * 12 + month - 1
     first, after = (
         m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
@@ -302,62 +314,111 @@ def _label_column(cells):
     return _walk(cells, _LABEL_CODES.__getitem__, np.uint8)
 
 
-def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: list[str]):
-    """``_read_records``' result for a file numpy's C reader can take whole, else None.
+def _plain_pieces(data: bytes):
+    """The decoded text after the header line, in pieces of about ``_PLAIN_CHARS`` characters.
 
-    Decodes the file's bytes with universal newlines, which split it into
-    the lines the csv module sees when no cell is quoted. Declines, and never
-    raises or logs, wherever the record reader could meet an error or a
-    rejected row: a quote or NUL, an undecodable file, a line longer than the
-    csv field limit, no data rows, a stamp ``_parse_iso`` refuses, stamps
-    that do not strictly increase, a row ``loadtxt`` refuses (a wrong cell
-    count or a value it cannot read), a label other than blank, ``0`` or
-    ``1``. The stamps are checked before ``loadtxt``, the costliest step,
-    runs. ``loadtxt`` reads floats with the parser ``float()`` calls.
+    Decodes with universal newlines, which split the file into the lines the
+    csv module sees when no cell is quoted, and ends each piece at a line end.
+    """
+    text = io.TextIOWrapper(io.BytesIO(data))
+    text.readline()
+    while piece := text.read(_PLAIN_CHARS):
+        yield piece + text.readline()
+
+
+def _data_lines(piece: str) -> list[str]:
+    return list(filter(str.strip, piece.split("\n")))  # the record reader skips blank lines
+
+
+def _plain_stamps(data: bytes) -> np.ndarray | None:
+    """Epoch seconds of every data row, or None where the C reader declines before ``loadtxt``."""
+    stamps = [np.empty(0, np.int64)]
+    for piece in _plain_pieces(data):
+        lines = _data_lines(piece)
+        if not lines:
+            continue
+        # a search for "+" alone is one memchr, many times faster than the search for _BLANK
+        if "+" in piece and _BLANK in piece or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        # a canonical stamp is a line's first 19 characters, followed by a comma
+        heads = np.array(lines, "U20")
+        parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
+        for i in np.flatnonzero(~parsed).tolist():
+            try:
+                ts[i] = _parse_iso(lines[i].partition(",")[0])
+            except ValueError:
+                return None
+        stamps.append(ts)
+    ts = np.concatenate(stamps)
+    if not ts.size or (np.diff(ts) <= 0).any():
+        return None
+    return ts
+
+
+def _plain_labels(cells: np.ndarray) -> np.ndarray | None:
+    """Label codes of cells the C reader read, or None where the record reader could differ."""
+    ones = cells == "1"
+    if not (ones | (cells == "0") | (cells == _BLANK)).all():
+        if (np.char.str_len(cells) >= _LABEL_CHARS).any():
+            return None  # loadtxt may have cut the cell short
+        cells = np.char.strip(cells)  # as the record reader strips a padded cell
+        ones = cells == "1"
+        if not (ones | (cells == "0") | (cells == "") | (cells == _BLANK)).all():
+            return None
+    return ones.astype(np.uint8)
+
+
+def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: list[str]):
+    """``_read_records``' result for a file numpy's C reader can take, else None.
+
+    Declines, and never raises or logs, wherever the record reader could
+    meet an error or a rejected row: a quote or NUL, an undecodable file, a
+    line longer than the csv field limit, no data rows, a stamp
+    ``_parse_iso`` refuses, stamps that do not strictly increase, a row
+    ``loadtxt`` refuses (a wrong cell count or a value it cannot read), a
+    label other than blank, ``0`` or ``1`` once stripped, or one too long
+    to tell. The file is read in pieces (``_plain_pieces``), twice: first
+    every piece's stamps, so a refused stamp declines before ``loadtxt``,
+    the costliest step, runs; then every piece's rows, keeping only their
+    columns. ``loadtxt`` reads floats with the parser ``float()`` calls.
     """
     if b'"' in data or b"\0" in data:  # before decoding: a quoted file costs next to nothing
         return None
     try:
-        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        ts = _plain_stamps(data)
     except UnicodeDecodeError:
         return None
-    if _BLANK in text:
+    if ts is None:
         return None
-    lines = _BLANK_AFTER_COMMA.sub("," + _BLANK, text).split("\n")[1:]
-    del text
-    lines = [line for line in lines if line.strip()]  # the record reader skips blank lines
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    # a canonical stamp is a line's first 19 characters, followed by a comma
-    heads = np.array(lines, "U20")
-    parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
-    for i in np.flatnonzero(~parsed).tolist():
-        try:
-            ts[i] = _parse_iso(lines[i].partition(",")[0])
-        except ValueError:
-            return None
-    if (np.diff(ts) <= 0).any():
-        return None
-    del heads
     index = {name: i for i, name in enumerate(header)}
     kinds = ["U1"] * len(header)  # the stamp, read above, and every cell no one reads
     for v in wanted:
         kinds[index[v]] = "f8"
     for v in labelled:
-        kinds[index[v + LABEL_SUFFIX]] = f"U{len(_BLANK)}"
+        kinds[index[v + LABEL_SUFFIX]] = f"U{_LABEL_CHARS}"
     dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
-    try:
-        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    labels = {}
-    for v in labelled:
-        cells = rows[f"f{index[v + LABEL_SUFFIX]}"]
-        ones = cells == "1"
-        if not (ones | (cells == "0") | (cells == _BLANK)).all():
+    values = {v: [] for v in wanted}
+    labels = {v: [] for v in labelled}
+    for piece in _plain_pieces(data):
+        lines = _data_lines(_BLANK_AFTER_COMMA.sub("," + _BLANK, piece))
+        if not lines:
+            continue
+        try:
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
             return None
-        labels[v] = ones.astype(np.uint8)
-    return ts, {v: rows[f"f{index[v]}"] for v in wanted}, labels
+        for v in wanted:
+            values[v].append(rows[f"f{index[v]}"].copy())  # a field view would keep the piece's rows
+        for v in labelled:
+            codes = _plain_labels(rows[f"f{index[v + LABEL_SUFFIX]}"])
+            if codes is None:
+                return None
+            labels[v].append(codes)
+    return (
+        ts,
+        {v: np.concatenate(parts) for v, parts in values.items()},
+        {v: np.concatenate(parts) for v, parts in labels.items()},
+    )
 
 
 def _read_records(path, reader, header: list[str], wanted: list[str], labelled: list[str]):
@@ -369,7 +430,8 @@ def _read_records(path, reader, header: list[str], wanted: list[str], labelled: 
     cols, row_nums, width_error = _read_columns(path, reader, len(header))
     ts_col = header[0]
     stamps = cols[0]
-    parsed, ts = _canonical_stamps(stamps, np.fromiter(map(len, stamps), np.intp, len(stamps)) == 19)
+    sized = np.fromiter(map(len, stamps), np.intp, len(stamps)) == 19
+    parsed, ts = _canonical_stamps(np.array(stamps, "U19"), sized)  # longer cells cut
     blank = np.zeros(len(stamps), dtype=bool)
     for i in np.flatnonzero(~parsed).tolist():
         try:
@@ -438,10 +500,10 @@ def ingest_csv(
     numbers logged; blank numeric cells become NaN; blank rows are skipped.
 
     The file is read once, as bytes. A file with no quote, no NUL and
-    nothing the record reader would refuse or reject is read whole by numpy's
-    C text reader (``_read_plain``); any other file falls back to the record
-    reader (``_read_records``), which reads the same bytes, gives the same
-    result and alone writes every error and warning.
+    nothing the record reader would refuse or reject is read by numpy's C
+    text reader, a piece at a time (``_read_plain``); any other file falls
+    back to the record reader (``_read_records``), which reads the same
+    bytes, gives the same result and alone writes every error and warning.
 
     The record reader parses each column at once and walks it cell by cell
     only when it fails, so the error raised is the one a row-by-row read
@@ -507,15 +569,25 @@ def write_csv(path, header, rows) -> None:
 
 
 def emit_csv(ms: MultiSeries, path) -> None:
-    """Write a MultiSeries in the exact shape ``ingest_csv`` reads back."""
+    """Write a MultiSeries in the exact shape ``ingest_csv`` reads back.
+
+    The cells are formatted ``_EMIT_ROWS`` rows at a time, so no list of the
+    whole file's cells is ever held.
+    """
     labelled = [s for s in ms.series if s.labels is not None]
     header = ["timestamp"] + [s.name for s in ms.series]
     header += [s.name + LABEL_SUFFIX for s in labelled]
-    stamps = np.datetime_as_string(ms.timestamps.astype("datetime64[s]"), unit="s")
-    cols = [stamps.tolist()]
-    cols += [float_cells(s.values) for s in ms.series]
-    cols += [[str(x) for x in s.labels.tolist()] for s in labelled]
-    write_csv(path, header, zip(*cols))
+
+    def rows():
+        for start in range(0, len(ms), _EMIT_ROWS):
+            block = slice(start, start + _EMIT_ROWS)
+            stamps = ms.timestamps[block].astype("datetime64[s]")
+            cols = [np.datetime_as_string(stamps, unit="s").tolist()]
+            cols += [float_cells(s.values[block]) for s in ms.series]
+            cols += [list(map(str, s.labels[block].tolist())) for s in labelled]
+            yield from zip(*cols)
+
+    write_csv(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

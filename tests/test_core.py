@@ -2,6 +2,7 @@ import logging
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -452,7 +453,9 @@ class TestPlainReader:
         "whitespace-only value": HEAD + ROW1 + "2017-03-12T01:00:00, ,4,1\n",
         "bad value": HEAD + ROW1 + "2017-03-12T01:00:00,x,4,1\n",
         "blank stamp": HEAD + ROW1 + ",3,4,1\n",
-        "padded label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4, 1\n",
+        # the C reader reads a label into 8 characters and would keep 8 spaces of this one
+        "label longer than its field": HEAD + ROW1 + "2017-03-12T01:00:00,3,4," + " " * 8 + "1\n",
+        "long label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,000000001\n",
         "bad label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,10\n",
         "blank cell spelled as the C reader fills it": HEAD + ROW1 + "2017-03-12T01:00:00,+nan,4,1\n",
         "rejected stamp between good rows": HEAD + "\n" + ROW1 + "\n" + "later,3,4,1\n" + ROW2,
@@ -474,7 +477,7 @@ class TestPlainReader:
         assert got == _outcome(ref.ref_ingest_csv, path, variables, "reference")
         assert record_reader_ran
         # the C reader declines; the record reader reads these files whole
-        if case in ("padded label", "all-blank row", "NUL after a stamp",
+        if case in ("label longer than its field", "all-blank row", "NUL after a stamp",
                     "quoted cell spanning two lines"):
             assert got[0][0] == str(path)
 
@@ -521,6 +524,10 @@ class TestPlainReader:
         "carriage returns": "timestamp,a,b\r2017-03-12T00:00:00,1,2\r\r2017-03-12T01:00:00,,4\r",
         "stamp with an offset": HEAD + ROW1 + "2017-03-12T02:00:00+01:00,3,4,1\n",
         "blank label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,\n",
+        # the record reader strips a label cell, and so does the C reader
+        "padded label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4, 1\n",
+        "padded labels": HEAD + "2017-03-12T00:00:00,1,2,0 \n" + "2017-03-12T01:00:00,3,4,\t1\x0c\n",
+        "whitespace-only label": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,   \n",
         "padded stamp": HEAD + ROW1 + " " * 14 + ROW2,
         "whitespace-only lines": HEAD + ROW1 + "  \n\t\x0c\n" + ROW2 + " ",
     }
@@ -548,6 +555,150 @@ class TestPlainReader:
         got, record_reader_ran = _spied_outcome(path, None)
         assert got[0][1].endswith("line 3: field larger than field limit (131072)")
         assert record_reader_ran
+
+
+def _both_readers(path, variables=None):
+    """``_read_plain``'s answer on a file, and the record reader's result or error message."""
+    plain_answers = []
+
+    def declining(*args):
+        plain_answers.append(real(*args))
+        return None
+
+    real = core._read_plain
+    with mock.patch.object(core, "_read_plain", declining):
+        try:
+            records = ingest_csv(path, variables)
+        except DataError as exc:
+            records = str(exc)
+    return (plain_answers[0] if plain_answers else None), records
+
+
+def _as_read(ms):
+    """A MultiSeries in ``_read_plain``'s (timestamps, values, labels) shape, as bytes."""
+    return (
+        ms.timestamps.tobytes(),
+        {s.name: s.values.tobytes() for s in ms.series},
+        {s.name: s.labels.tobytes() for s in ms.series if s.labels is not None},
+    )
+
+
+def _plain_as_read(read):
+    ts, values, labels = read
+    assert ts.dtype == np.int64 and all(v.dtype == np.float64 for v in values.values())
+    assert all(v.dtype == np.uint8 for v in labels.values())
+    return (
+        ts.tobytes(),
+        {v: a.tobytes() for v, a in values.items()},
+        {v: a.tobytes() for v, a in labels.items()},
+    )
+
+
+class TestPlainPieces:
+    """The C reader parses a file in pieces cut at line ends, and answers as if it read it whole."""
+
+    HEAD = "timestamp,a,b,a_label"
+
+    def rows(self, n):
+        stamps = np.arange(EPOCH_2017, EPOCH_2017 + 60 * n, 60).astype("datetime64[s]")
+        return [
+            f"{t},{i * 1.25 if i % 3 else ''},{-i / 7},{'' if i % 5 == 0 else i % 2}"
+            for i, t in enumerate(np.datetime_as_string(stamps, unit="s"))
+        ]
+
+    @pytest.mark.parametrize("chars", [1, 5, 27, 28, 29, 64, 1 << 18])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_rows_straddling_pieces_read_as_the_record_reader_reads_them(
+        self, tmp_path, chars, newline, final_newline
+    ):
+        # rows of about 50 characters, blank cells within and at the end of a line, and
+        # whitespace-only and empty lines that a small piece size puts at a piece boundary
+        lines = [self.HEAD, *self.rows(40)]
+        lines[7:7] = ["  ", ""]
+        lines[20:20] = ["\t"]
+        text = newline.join(lines) + (newline if final_newline else "")
+        path = tmp_path / "data.csv"
+        path.write_text(text, newline="")
+        with mock.patch.object(core, "_PLAIN_CHARS", chars):
+            plain, records = _both_readers(path)
+        assert plain is not None
+        assert _plain_as_read(plain) == _as_read(records)
+
+    @pytest.mark.parametrize("chars", [1, 20, 50, 64])
+    @pytest.mark.parametrize("step, complaint", [
+        (0, "duplicate timestamp 2017-03-12T00:05:00"),
+        (-60, r"timestamps not increasing \(2017-03-12T00:04:00 after 2017-03-12T00:05:00\)"),
+    ])
+    def test_stamp_repeating_or_going_back_across_pieces_declines(self, tmp_path, chars, step, complaint):
+        rows = self.rows(12)
+        at = 6  # rows[6] is file row 8
+        rows[at] = str(np.datetime64(EPOCH_2017 + 60 * (at - 1) + step, "s")) + rows[at][19:]
+        path = write(tmp_path, "\n".join([self.HEAD, *rows]) + "\n")
+        with mock.patch.object(core, "_PLAIN_CHARS", chars), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            plain, records = _both_readers(path)
+            assert plain is None
+            assert loadtxt.call_count == 0
+            with pytest.raises(DataError, match=rf"row 8, column 'timestamp': {complaint}"):
+                ingest_csv(path)
+
+    def test_rejected_stamp_in_the_last_piece_declines_before_loadtxt(self, tmp_path):
+        rows = self.rows(40)
+        good = write(tmp_path, "\n".join([self.HEAD, *rows]) + "\n", "good.csv")
+        rows[-1] = "later" + rows[-1][19:]
+        bad = write(tmp_path, "\n".join([self.HEAD, *rows]) + "\n", "bad.csv")
+        with mock.patch.object(core, "_PLAIN_CHARS", 64), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            ingest_csv(good)
+            assert loadtxt.call_count == 20  # 64 characters and the rest of a line: two rows a piece
+            loadtxt.reset_mock()
+            got, record_reader_ran = _spied_outcome(bad, None)
+            assert loadtxt.call_count == 0
+        assert record_reader_ran
+        assert got[1][0].endswith("rejected 1 rows with unparseable timestamp timestamps: [41]")
+
+    @given(st.one_of(csv_cases(), emitted_cases()), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_piece_size_declines_or_agrees(self, case, chars):
+        text, variables = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_text(text, newline="")
+            with mock.patch.object(core, "_PLAIN_CHARS", chars):
+                plain, records = _both_readers(path, variables)
+        if plain is not None:
+            assert not isinstance(records, str)
+            assert _plain_as_read(plain) == _as_read(records)
+
+
+class TestBoundedMemory:
+    """Reading and writing CSV hold a bounded piece of the file at a time, not the whole of it."""
+
+    def test_traced_peaks_stay_within_multiples_of_the_file(self, tmp_path):
+        base = {v: BaseSignal(10.0 * (i + 1), 2.0, 500.0, 0.5)
+                for i, v in enumerate(["turbidity", "conductivity", "level"])}
+        ms = synth_series(SynthConfig(n_points=20_000, base=base), seed=1)
+        path = tmp_path / "x.csv"
+        emit_csv(ms, path)
+        ingest_csv(path)  # numpy's lazy set-up happens outside the traced calls
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = ingest_csv(path)
+            held, ingest_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            emit_csv(back, tmp_path / "y.csv")
+            emit_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "y.csv").read_bytes() == path.read_bytes()
+        # ingest holds the file's bytes, kept for the record reader, and one piece's lines and
+        # rows at a time (2.8x here); holding every piece's rows until the end reads 3.4x, and
+        # holding the whole file's lines 7.6x. Emit holds one block of cells (1.9x here, 7.7x
+        # when it formatted the whole file's cells at once)
+        assert ingest_peak < 3.25 * size
+        assert emit_peak < 2.5 * size
 
 
 class TestEmitRoundtrip:

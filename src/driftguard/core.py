@@ -326,35 +326,6 @@ def _plain_pieces(data: bytes):
         yield piece + text.readline()
 
 
-def _data_lines(piece: str) -> list[str]:
-    return list(filter(str.strip, piece.split("\n")))  # the record reader skips blank lines
-
-
-def _plain_stamps(data: bytes) -> np.ndarray | None:
-    """Epoch seconds of every data row, or None where the C reader declines before ``loadtxt``."""
-    stamps = [np.empty(0, np.int64)]
-    for piece in _plain_pieces(data):
-        lines = _data_lines(piece)
-        if not lines:
-            continue
-        # a search for "+" alone is one memchr, many times faster than the search for _BLANK
-        if "+" in piece and _BLANK in piece or max(map(len, lines)) > csv.field_size_limit():
-            return None
-        # a canonical stamp is a line's first 19 characters, followed by a comma
-        heads = np.array(lines, "U20")
-        parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
-        for i in np.flatnonzero(~parsed).tolist():
-            try:
-                ts[i] = _parse_iso(lines[i].partition(",")[0])
-            except ValueError:
-                return None
-        stamps.append(ts)
-    ts = np.concatenate(stamps)
-    if not ts.size or (np.diff(ts) <= 0).any():
-        return None
-    return ts
-
-
 def _plain_labels(cells: np.ndarray) -> np.ndarray | None:
     """Label codes of cells the C reader read, or None where the record reader could differ."""
     ones = cells == "1"
@@ -377,43 +348,61 @@ def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: lis
     ``_parse_iso`` refuses, stamps that do not strictly increase, a row
     ``loadtxt`` refuses (a wrong cell count or a value it cannot read), a
     label other than blank, ``0`` or ``1`` once stripped, or one too long
-    to tell. The file is read in pieces (``_plain_pieces``), twice: first
-    every piece's stamps, so a refused stamp declines before ``loadtxt``,
-    the costliest step, runs; then every piece's rows, keeping only their
-    columns. ``loadtxt`` reads floats with the parser ``float()`` calls.
+    to tell. The file is read once, in pieces (``_plain_pieces``): each
+    piece's lines are split once, their stamps checked, and only then
+    handed to ``loadtxt``, keeping only their columns. So a refused stamp
+    declines before ``loadtxt`` sees its line or any later one.
+    ``loadtxt`` reads floats with the parser ``float()`` calls.
     """
     if b'"' in data or b"\0" in data:  # before decoding: a quoted file costs next to nothing
         return None
-    try:
-        ts = _plain_stamps(data)
-    except UnicodeDecodeError:
-        return None
-    if ts is None:
-        return None
     index = {name: i for i, name in enumerate(header)}
-    kinds = ["U1"] * len(header)  # the stamp, read above, and every cell no one reads
+    kinds = ["U1"] * len(header)  # the stamp, parsed apart, and every cell no one reads
     for v in wanted:
         kinds[index[v]] = "f8"
     for v in labelled:
         kinds[index[v + LABEL_SUFFIX]] = f"U{_LABEL_CHARS}"
     dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+    limit = csv.field_size_limit()
+    stamps = [np.empty(0, np.int64)]
     values = {v: [] for v in wanted}
     labels = {v: [] for v in labelled}
-    for piece in _plain_pieces(data):
-        lines = _data_lines(_BLANK_AFTER_COMMA.sub("," + _BLANK, piece))
-        if not lines:
-            continue
-        try:
-            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            return None
-        for v in wanted:
-            values[v].append(rows[f"f{index[v]}"].copy())  # a field view would keep the piece's rows
-        for v in labelled:
-            codes = _plain_labels(rows[f"f{index[v + LABEL_SUFFIX]}"])
-            if codes is None:
+    try:  # an undecodable byte, a refused stamp and a refused row all raise ValueError
+        for piece in _plain_pieces(data):
+            # a search for "+" alone is one memchr, many times faster than the search for _BLANK
+            if "+" in piece and _BLANK in piece:
                 return None
-            labels[v].append(codes)
+            lines = _BLANK_AFTER_COMMA.sub("," + _BLANK, piece).split("\n")
+            lines = list(filter(str.strip, lines))  # the record reader skips blank lines
+            if not lines:
+                continue
+            # the limit holds for the lines as written, where each _BLANK was a blank cell
+            if max(map(len, lines)) > limit and any(
+                len(line.replace(_BLANK, "")) > limit for line in lines
+            ):
+                return None
+            # a canonical stamp is a line's first 19 characters, followed by a comma
+            heads = np.array(lines, "U20")
+            parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
+            del heads
+            for i in np.flatnonzero(~parsed).tolist():
+                ts[i] = _parse_iso(lines[i].partition(",")[0])
+            if (np.diff(ts, prepend=stamps[-1][-1:]) <= 0).any():
+                return None
+            stamps.append(ts)
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            for v in wanted:  # copies: a field view would keep the piece's rows
+                values[v].append(rows[f"f{index[v]}"].copy())
+            for v in labelled:
+                codes = _plain_labels(rows[f"f{index[v + LABEL_SUFFIX]}"])
+                if codes is None:
+                    return None
+                labels[v].append(codes)
+    except ValueError:
+        return None
+    ts = np.concatenate(stamps)
+    if not ts.size:
+        return None
     return (
         ts,
         {v: np.concatenate(parts) for v, parts in values.items()},
@@ -501,8 +490,8 @@ def ingest_csv(
 
     The file is read once, as bytes. A file with no quote, no NUL and
     nothing the record reader would refuse or reject is read by numpy's C
-    text reader, a piece at a time (``_read_plain``); any other file falls
-    back to the record reader (``_read_records``), which reads the same
+    text reader, in one pass over its pieces (``_read_plain``); any other file
+    falls back to the record reader (``_read_records``), which reads the same
     bytes, gives the same result and alone writes every error and warning.
 
     The record reader parses each column at once and walks it cell by cell

@@ -1,3 +1,4 @@
+import csv
 import logging
 import os
 import tempfile
@@ -556,6 +557,18 @@ class TestPlainReader:
         assert got[0][1].endswith("line 3: field larger than field limit (131072)")
         assert record_reader_ran
 
+    def test_field_limit_is_checked_on_the_lines_as_written(self, tmp_path):
+        # the C reader spells each blank cell as four characters: 22-character lines read as 34
+        path = write(tmp_path, self.HEAD + "2017-03-12T00:00:00,,,\n2017-03-12T01:00:00,1,,\n")
+        limit = csv.field_size_limit(25)
+        try:
+            got, record_reader_ran = _spied_outcome(path, None)
+            want = _outcome(ref.ref_ingest_csv, path, None, "reference")
+        finally:
+            csv.field_size_limit(limit)
+        assert got == want
+        assert not record_reader_ran
+
 
 def _both_readers(path, variables=None):
     """``_read_plain``'s answer on a file, and the record reader's result or error message."""
@@ -592,6 +605,11 @@ def _plain_as_read(read):
         {v: a.tobytes() for v, a in values.items()},
         {v: a.tobytes() for v, a in labels.items()},
     )
+
+
+def _loadtxt_stamps(loadtxt):
+    """The stamp of every line a ``loadtxt`` spy received, in the order it received them."""
+    return [line.partition(",")[0] for call in loadtxt.call_args_list for line in call.args[0]]
 
 
 class TestPlainPieces:
@@ -639,11 +657,14 @@ class TestPlainPieces:
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             plain, records = _both_readers(path)
             assert plain is None
-            assert loadtxt.call_count == 0
+            # loadtxt reads the rows of the pieces before the repeated stamp's, in order, and
+            # never the line that holds it or a later one
+            seen = _loadtxt_stamps(loadtxt)
+            assert seen == [row[:19] for row in rows[: len(seen)]] and len(seen) <= at
             with pytest.raises(DataError, match=rf"row 8, column 'timestamp': {complaint}"):
                 ingest_csv(path)
 
-    def test_rejected_stamp_in_the_last_piece_declines_before_loadtxt(self, tmp_path):
+    def test_rejected_stamp_in_the_last_piece_never_reaches_loadtxt(self, tmp_path):
         rows = self.rows(40)
         good = write(tmp_path, "\n".join([self.HEAD, *rows]) + "\n", "good.csv")
         rows[-1] = "later" + rows[-1][19:]
@@ -654,9 +675,20 @@ class TestPlainPieces:
             assert loadtxt.call_count == 20  # 64 characters and the rest of a line: two rows a piece
             loadtxt.reset_mock()
             got, record_reader_ran = _spied_outcome(bad, None)
-            assert loadtxt.call_count == 0
+            seen = _loadtxt_stamps(loadtxt)
+        assert seen == [row[:19] for row in rows[: len(seen)]] and len(seen) < len(rows)
         assert record_reader_ran
         assert got[1][0].endswith("rejected 1 rows with unparseable timestamp timestamps: [41]")
+
+    def test_a_clean_file_is_read_in_one_pass(self, tmp_path):
+        path = write(tmp_path, "\n".join([self.HEAD, *self.rows(40)]) + "\n")
+        with mock.patch.object(core, "_PLAIN_CHARS", 64), \
+                mock.patch.object(core, "_plain_pieces", wraps=core._plain_pieces) as pieces, \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            record_reader_ran = _spied_outcome(path, None)[1]
+        assert not record_reader_ran
+        assert pieces.call_count == 1
+        assert loadtxt.call_count == 20
 
     @given(st.one_of(csv_cases(), emitted_cases()), st.integers(1, 64))
     @settings(max_examples=300, deadline=None)
@@ -694,9 +726,10 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert (tmp_path / "y.csv").read_bytes() == path.read_bytes()
         # ingest holds the file's bytes, kept for the record reader, and one piece's lines and
-        # rows at a time (2.8x here); holding every piece's rows until the end reads 3.4x, and
-        # holding the whole file's lines 7.6x. Emit holds one block of cells (1.9x here, 7.7x
-        # when it formatted the whole file's cells at once)
+        # rows at a time (2.75x here); holding every piece's rows until the end reads 3.41x,
+        # reading the whole file as one piece 6.50x, and decoding it whole before splitting its
+        # lines 7.61x. Emit holds one block of cells (1.85x here, 7.73x when it formatted the
+        # whole file's cells at once)
         assert ingest_peak < 3.25 * size
         assert emit_peak < 2.5 * size
 

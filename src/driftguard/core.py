@@ -29,7 +29,9 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def _own(a, dtype) -> np.ndarray:
-    """Private read-only copy; never freezes a caller's buffer in place."""
+    """``a`` if it is a read-only ``dtype`` array owning its data, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None and not a.flags.writeable:
+        return a
     arr = np.array(a, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
@@ -131,7 +133,7 @@ class MultiSeries:
             raise DataError(f"duplicate variable names: {names}")
         ts0 = series[0].timestamps
         for s in series[1:]:
-            if len(s.timestamps) != len(ts0) or not np.array_equal(s.timestamps, ts0):
+            if s.timestamps is not ts0 and not np.array_equal(s.timestamps, ts0):
                 raise DataError(
                     f"variable {s.name!r} does not share the site timestamp vector"
                 )
@@ -540,6 +542,8 @@ def ingest_csv(
     if read is None:
         read = _read_records(path, reader, header, wanted, labelled)
     ts, values, labels = read
+    for a in (ts, *values.values(), *labels.values()):
+        a.flags.writeable = False  # the reader's own arrays: every series keeps them as they are
     series = tuple(SensorSeries(v, ts, values[v], labels.get(v)) for v in wanted)
     return MultiSeries(site=site or str(path), series=series)
 

@@ -9,9 +9,9 @@ one rules -> transform -> normalize build, and the cloud is the thread pool's
 unit of work. One worker builds the cloud and runs its combos one after
 another: only the per-method stages of ``pipeline.detect_on_cloud``, reading
 each prediction; no flag is ever described. The cloud keeps its own kNN
-lists, Leader clustering and COF/LDOF neighborhood distance block, each built
-by the first combo that reads it, and is dropped when its worker moves on, so
-at most ``workers`` clouds are alive at once.
+lists, Leader clustering and COF's and LDOF's one number per point, each
+built by the first combo that reads it, and is dropped when its worker moves
+on, so at most ``workers`` clouds are alive at once.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def grid_evaluate(
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Combos sharing (variables, transform) share one cloud: rules ->
     transform -> normalize run once for them, and so do the cloud's kept
-    builds: its kNN lists, its Leader clustering and COF's and LDOF's
-    neighborhood distance block, each made by the first combo that reads it.
+    builds: its kNN lists, its Leader clustering and COF's and LDOF's one
+    number per point, each made by the first combo that reads it.
     The pool's unit is the cloud: one worker builds it and runs its combos
     one after another, and the cloud is dropped when they are done.
     Every report counts the same predictions as ``run_detection`` would for
@@ -214,9 +214,9 @@ def grid_evaluate(
     grid never reads ``DetectionResult.detections``. ``min_t/mu_t/max_t``
     are those samples plus the group's one-off build, measured once: rules
     + transform + normalize, plus the kept builds the method reads, as
-    the cloud recorded them: ``knn`` for the kNN methods, and the distance
-    block as well for COF and LDOF, or the Leader clustering for
-    HDoutliers. So each still reads as the chain from the raw series.
+    the cloud recorded them: ``knn`` for the kNN methods, plus ``cof`` for
+    COF and ``ldof`` for LDOF, or the Leader clustering for HDoutliers. So
+    each still reads as the chain from the raw series.
 
     Per-combo failures are captured in the report rather than aborting the
     grid; too few repetitions is refused before any combo runs. NaN-OP and

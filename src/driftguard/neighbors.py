@@ -1,9 +1,9 @@
 """Shared geometry: unit-hypercube normalization, exact kNN, Leader clustering.
 
 A ``PointCloud`` keeps its own builds: ``neighbors(k)``, ``clusters(radius)``
-and ``hood_distances(k)`` run ``knn``, ``leader`` and ``hood_block`` once, so
-every scorer on one cloud shares them, and the cloud records how long each
-took.
+and ``hood_values(kind, k, reduce)`` run ``knn``, ``leader`` and ``hood_map``
+once, so every scorer on one cloud shares them, and the cloud records how
+long each took.
 
 kNN is kd-tree accelerated but contractually exact, identical to brute force
 with ties broken by lower index. It runs on the distinct points: exact
@@ -43,8 +43,8 @@ _QUERY_PAD = 2
 # expands to over _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1) rows; this bounds
 # peak memory.
 _BLOCK = 2048
-# Points whose neighborhood distances are worked out together, so building the
-# block needs little scratch memory beyond the block.
+# Neighborhoods hood_map hands its reduce together, so a build needs little
+# scratch memory beyond its (n,) result.
 _HOOD_ROWS = 128
 # Relative margin on a Leader ball query, far above rounding in the tree's
 # distances, so the ball holds every point the exact formula puts in reach.
@@ -55,12 +55,12 @@ _BALL_PAD = 1e-9
 class PointCloud:
     """Finite points, one row per point.
 
-    ``diameter_bound``, ``neighbors(k)``, ``clusters(radius)`` and
-    ``hood_distances(k)`` are kept after their first call, so the points must
-    not change after that. Every read takes the cloud's one lock, so each is
-    built once even when threads ask for it together, and a read waits while
-    another build of the cloud is made. ``build_ms`` tells how long each
-    took. A build that raises is not kept and raises again on the next call.
+    ``diameter_bound``, ``neighbors``, ``clusters`` and ``hood_values`` are
+    kept after their first call, so the points must not change after that.
+    Every read takes the cloud's one lock, so each is built once even when
+    threads ask for it together, and a read waits while another build of the
+    cloud is made. ``build_ms`` tells how long each took. A build that raises
+    is not kept and raises again on the next call.
     """
 
     points: np.ndarray
@@ -102,23 +102,23 @@ class PointCloud:
             radius = default_leader_radius(len(self), self.dim)
         return self._kept(("leader", radius), leader, radius)
 
-    def hood_distances(self, k: int) -> np.ndarray:
-        """``hood_block(self, self.neighbors(k))``, built on the first call and kept."""
+    def hood_values(self, kind: str, k: int, reduce) -> np.ndarray:
+        """``hood_map(self, self.neighbors(k), reduce)``, kept by (kind, k): one reduce a kind."""
         nl = self.neighbors(k)  # before _kept: the cloud's lock is not re-entrant
-        return self._kept(("hood", k), hood_block, nl)
+        return self._kept((kind, k), hood_map, nl, reduce)
 
     def build_ms(self, kind: str) -> float:
-        """Milliseconds the kept builds of ``kind`` ("knn", "leader" or "hood") took.
+        """Milliseconds the kept builds of ``kind`` ("knn", "leader" or a hood kind) took.
 
         Summed over every argument built; 0.0 when none is kept.
         """
         return self._build_ms.get(kind, 0.0)
 
-    def _kept(self, key, build, arg):
+    def _kept(self, key, build, *args):
         with self._lock:
             if key not in self._builds:
                 start = time.perf_counter()
-                kept = build(self, arg)
+                kept = build(self, *args)
                 elapsed = (time.perf_counter() - start) * 1000.0
                 self._build_ms[key[0]] = self._build_ms.get(key[0], 0.0) + elapsed
                 self._builds[key] = kept
@@ -270,21 +270,19 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def hood_block(cloud: PointCloud, nl: NeighborLists) -> np.ndarray:
-    """Distances within each point's neighborhood, read-only, shape (n, k+1, k+1).
+def hood_map(cloud: PointCloud, nl: NeighborLists, reduce) -> np.ndarray:
+    """One number per point from its neighborhood, read-only, shape (n,).
 
-    ``[p, i, j]`` is the distance between members i and j of p's neighborhood:
-    p itself first, then its neighbors in ``nl`` order. Exactly symmetric,
-    with a zero diagonal.
+    ``reduce`` maps ``_HOOD_ROWS`` or fewer neighborhoods, (rows, k+1, d) with
+    each point first and then its neighbors in ``nl`` order, to one number a row.
     """
-    hood = np.column_stack([np.arange(len(cloud)), nl.indices])  # (n, k+1)
-    block = np.empty(hood.shape + hood.shape[1:])
-    for lo in range(0, len(hood), _HOOD_ROWS):
-        part = cloud.points[hood[lo : lo + _HOOD_ROWS]]  # (rows, k+1, d)
-        block[lo : lo + _HOOD_ROWS] = _sq_distances(part[:, :, None], part[:, None])
-    np.sqrt(block, out=block)
-    block.flags.writeable = False  # shared by every scorer and thread on the cloud
-    return block
+    out = np.empty(len(cloud))
+    for lo in range(0, len(out), _HOOD_ROWS):
+        part = nl.indices[lo : lo + _HOOD_ROWS]
+        hood = np.column_stack([np.arange(lo, lo + len(part)), part])  # (rows, k+1)
+        out[lo : lo + len(part)] = reduce(cloud.points[hood])
+    out.flags.writeable = False  # shared by every scorer and thread on the cloud
+    return out
 
 
 def leader(cloud: PointCloud, radius: float) -> LeaderClustering:

@@ -6,9 +6,8 @@ plain kNN distance sums, relative kNN distance) and four are density based
 All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and hands the seven kNN scorers the cloud's kept neighbor
 lists, ``cloud.neighbors(k)``; those scorers are formulas over the lists.
-COF and LDOF also read the cloud's kept neighborhood distance block,
-``cloud.hood_distances(k)``. HDoutliers takes the cloud's kept Leader
-clustering, ``cloud.clusters``.
+COF and LDOF also read one kept number per point, ``cloud.hood_values``.
+HDoutliers takes the cloud's kept Leader clustering, ``cloud.clusters``.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def score_lof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Score
 def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
     """Average chaining distance of every point's set-based nearest path.
 
-    ``dist`` (n, k+1, k+1) holds the distances within each point's neighborhood,
+    ``dist`` (rows, k+1, k+1) holds the distances within each row's neighborhood,
     the point first. The path grows greedily from the point, connecting the
     closest unconnected member to the connected set (ties to the lowest index);
     the step-i edge weighs 2(k+1-i) / (k(k+1)). All points step together.
@@ -178,15 +177,18 @@ def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
     return ac
 
 
+def _chain_dists(hood: np.ndarray) -> np.ndarray:
+    """COF's ``hood_values`` reduce: average chaining distances of (rows, k+1, d) neighborhoods."""
+    return _avg_chain_dists(np.sqrt(_sq_distances(hood[:, :, None], hood[:, None])))
+
+
 def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Connectivity-based factor comparing chaining distances with neighbors'."""
     k = cfg.k
-    ac = _avg_chain_dists(cloud.hood_distances(k))
+    ac = cloud.hood_values("cof", k, _chain_dists)
     denom = ac[nl.indices].sum(axis=1)
     floor = k * _density_floor(cloud)
-    scores = np.where(
-        (ac == 0) & (denom == 0), 1.0, ac * k / np.maximum(denom, floor)
-    )
+    scores = np.where((ac == 0) & (denom == 0), 1.0, ac * k / np.maximum(denom, floor))
     return ScoreVector(scores, Method.COF)
 
 
@@ -221,7 +223,9 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
     return ScoreVector(sums / counts / den, Method.INFLO)
 
 
-_LDOF_ROWS = 128  # rows of the block's neighbor corner LDOF copies at a time
+def _pair_sums(hood: np.ndarray) -> np.ndarray:
+    """LDOF's ``hood_values`` reduce: each row's (k, k) neighbor distances, summed."""
+    return np.sqrt(_sq_distances(hood[:, 1:, None], hood[:, None, 1:])).sum(axis=(1, 2))
 
 
 def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
@@ -230,14 +234,7 @@ def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
         raise DataError("this factor needs k >= 2")
     k = cfg.k
     dbar = nl.distances.mean(axis=1)
-    # The neighbors' corner of the cloud's block, copied a few rows at a time
-    # so that each sum adds in the order it would over a fresh (n, k, k) array.
-    block = cloud.hood_distances(k)
-    pair_sums = [
-        np.ascontiguousarray(block[lo : lo + _LDOF_ROWS, 1:, 1:]).sum(axis=(1, 2))
-        for lo in range(0, len(block), _LDOF_ROWS)
-    ]
-    inner = np.concatenate(pair_sums) / (k * (k - 1))
+    inner = cloud.hood_values("ldof", k, _pair_sums) / (k * (k - 1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = dbar / inner
@@ -297,7 +294,7 @@ def kept_reads(method: Method) -> tuple[str, ...]:
     if method is Method.HDOUTLIERS:
         return ("leader",)
     if method in (Method.COF, Method.LDOF):
-        return ("knn", "hood")
+        return ("knn", method.value.lower())
     return ("knn",)
 
 

@@ -734,6 +734,48 @@ class TestBoundedMemory:
         assert emit_peak < 2.5 * size
 
 
+class TestOwnedArrays:
+    @pytest.mark.parametrize("quoted", [False, True], ids=["c-reader", "record-reader"])
+    def test_ingested_series_share_one_timestamp_vector(self, tmp_path, quoted):
+        rows = [
+            "timestamp,turbidity,turbidity_label,conductivity,level",
+            "2017-03-12T00:00:00,1.5,0,300,1.0",
+            "2017-03-12T01:00:00,2.5,1,310,1.1",
+        ]
+        if quoted:
+            rows = [",".join(f'"{cell}"' for cell in row.split(",")) for row in rows]
+        ms = ingest_csv(write(tmp_path, "\n".join(rows) + "\n"))
+        ts = ms.timestamps
+        assert all(s.timestamps is ts for s in ms.series)
+        arrays = [ts, ms.get("turbidity").labels] + [s.values for s in ms.series]
+        assert not any(a.flags.writeable for a in arrays)
+        # rules rebuild a series around new values; timestamps and labels stay shared
+        turbidity = ms.get("turbidity")
+        cleaned = turbidity.with_values(np.array([1.0, 2.0]))
+        assert cleaned.timestamps is ts and cleaned.labels is turbidity.labels
+        with mock.patch.object(np, "array_equal", side_effect=AssertionError("compared")):
+            assert MultiSeries("site", (cleaned, ms.get("level"))).timestamps is ts
+
+    def test_a_callers_writeable_array_is_copied_and_never_frozen(self):
+        ts = np.array([0, 60, 120], dtype=np.int64)
+        values = np.array([1.0, 2.0, 3.0])
+        s = SensorSeries("x", ts, values)
+        assert s.timestamps is not ts and s.values is not values
+        assert ts.flags.writeable and values.flags.writeable
+        ts[0] = -60
+        values[0] = 9.0
+        assert s.timestamps[0] == 0 and s.values[0] == 1.0
+
+    def test_only_a_read_only_owner_of_the_dtype_is_kept(self):
+        frozen = np.array([0, 60, 120], dtype=np.int64)
+        frozen.flags.writeable = False
+        assert core._own(frozen, np.int64) is frozen
+        view = frozen[:2]  # read-only, but its buffer belongs to another array
+        for a, dtype in ((view, np.int64), (frozen, np.float64)):
+            got = core._own(a, dtype)
+            assert got is not a and got.dtype == dtype and not got.flags.writeable
+
+
 class TestEmitRoundtrip:
     def test_ingest_emit_ingest_identity(self, tmp_path, labeled_synth):
         out1 = tmp_path / "a.csv"

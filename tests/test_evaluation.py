@@ -227,42 +227,47 @@ class TestGrid:
         assert by_method[Method.HDOUTLIERS].min_t >= 200.0
         assert by_method[Method.KNN_SUM].max_t < 200.0
 
-    def test_hood_block_built_once_per_cloud(self, labeled_synth, monkeypatch):
+    def test_hood_values_built_once_per_cloud_and_kind(self, labeled_synth, monkeypatch):
+        from collections import Counter
+
         from driftguard import neighbors
 
-        sizes = []
-        real_block = neighbors.hood_block
+        builds = []
+        real_map = neighbors.hood_map
 
-        def counted(cloud, nl):
-            sizes.append(len(cloud))
-            return real_block(cloud, nl)
+        def counted(cloud, nl, reduce):
+            builds.append(reduce.__name__)
+            return real_map(cloud, nl, reduce)
 
-        monkeypatch.setattr(neighbors, "hood_block", counted)
+        monkeypatch.setattr(neighbors, "hood_map", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             # more workers than cores: a cloud shared between workers, or
-            # dropped before its last combo, would build its block again
+            # dropped before its last combo, would build its values again
             reports = grid_evaluate(labeled_synth, self.paper_grid(), repetitions=3, max_workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert not any(r.error for r in reports)
-        # COF and LDOF on each of the six clouds, 4 runs each, share one block
-        assert len(sizes) == 6
+        # COF's and LDOF's 4 runs on each of the six clouds each build once
+        assert Counter(builds) == {"_chain_dists": 6, "_pair_sums": 6}
 
-    def test_cof_and_ldof_time_the_clouds_block(self, labeled_synth, monkeypatch):
-        # min_t/mu_t/max_t add the block's one build to COF and LDOF only,
-        # though the first of their warm-up runs is what builds it; the other
+    @pytest.mark.parametrize("slowed", [Method.COF, Method.LDOF], ids=lambda m: m.value)
+    def test_cof_and_ldof_each_time_their_own_build(self, slowed, labeled_synth, monkeypatch):
+        # min_t/mu_t/max_t add the slowed method's one build to it alone,
+        # though the first of its warm-up runs is what builds it; the other
         # methods' runs on the cloud are not held up while it is built
-        from driftguard import neighbors
+        from driftguard import neighbors, scoring
 
-        real_block = neighbors.hood_block
+        real_map = neighbors.hood_map
+        slow_reduce = {Method.COF: scoring._chain_dists, Method.LDOF: scoring._pair_sums}[slowed]
 
-        def slow_block(cloud, nl):
-            time.sleep(0.2)
-            return real_block(cloud, nl)
+        def slow_map(cloud, nl, reduce):
+            if reduce is slow_reduce:
+                time.sleep(0.2)
+            return real_map(cloud, nl, reduce)
 
-        monkeypatch.setattr(neighbors, "hood_block", slow_block)
+        monkeypatch.setattr(neighbors, "hood_map", slow_map)
         variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
         methods = (Method.KNN_SUM, Method.HDOUTLIERS, Method.COF, Method.LDOF)
         by_method = {
@@ -271,16 +276,18 @@ class TestGrid:
                 labeled_synth, [Combo(variables, kind, m) for m in methods], repetitions=3
             )
         }
-        assert by_method[Method.COF].min_t >= 200.0
-        assert by_method[Method.LDOF].min_t >= 200.0
-        assert by_method[Method.KNN_SUM].max_t < 200.0
-        assert by_method[Method.HDOUTLIERS].max_t < 200.0
+        assert by_method[slowed].min_t >= 200.0
+        for method in methods:
+            if method is not slowed:
+                assert by_method[method].max_t < 200.0
 
     def test_grid_memory_follows_workers_not_clouds(self, tmp_path):
         # COF and LDOF on four clouds, the caller's order visiting every cloud
-        # before any cloud's second method. Run by cloud, with each cloud
-        # dropped after its last combo, two workers hold about two distance
-        # blocks at once; all four alive would read over four blocks.
+        # before any cloud's second method, run by two workers. The bound is
+        # three (n, k+1, k+1) float64 blocks, which COF and LDOF once kept per
+        # cloud. They now keep one number per point, so the peak (8.6 MB when
+        # measured, 4.4 MB with one worker) is mostly each worker's kNN build;
+        # test_grid_holds_at_most_workers_clouds counts the clouds themselves.
         import tracemalloc
 
         from driftguard import BaseSignal, FaultSpec, SynthConfig, synth_series

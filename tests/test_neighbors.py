@@ -16,6 +16,8 @@ from driftguard import (
     normalize,
 )
 
+from driftguard.scoring import _avg_chain_dists, _chain_dists, _pair_sums
+
 import reference as ref
 
 
@@ -308,13 +310,13 @@ def test_default_radius_formula():
 
 
 def _record_calls(monkeypatch, name):
-    """Patch ``neighbors.<name>`` to record (cloud size, argument) per call; return the record."""
+    """Patch ``neighbors.<name>`` to record (cloud size, *arguments) per call; return the record."""
     calls = []
     real = getattr(neighbors, name)
 
-    def recorded(cloud, arg):
-        calls.append((len(cloud), arg))
-        return real(cloud, arg)
+    def recorded(cloud, *args):
+        calls.append((len(cloud), *args))
+        return real(cloud, *args)
 
     monkeypatch.setattr(neighbors, name, recorded)
     return calls
@@ -374,7 +376,7 @@ class TestKeptBuilds:
         assert [size for size, _ in calls] == [200]
 
     @pytest.mark.parametrize(
-        "patched, ask_for", [("knn", "neighbors"), ("hood_block", "hood_distances")]
+        "patched, ask_for", [("knn", "neighbors"), ("hood_map", "hood_values")]
     )
     def test_threads_asking_together_share_one_build(self, patched, ask_for, rng, monkeypatch):
         import sys
@@ -387,7 +389,8 @@ class TestKeptBuilds:
 
         def ask():
             start.wait(timeout=10)
-            return getattr(cloud, ask_for)(4)
+            args = (4,) if ask_for == "neighbors" else ("cof", 4, _chain_dists)
+            return getattr(cloud, ask_for)(*args)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -401,15 +404,14 @@ class TestKeptBuilds:
         if patched == "knn":
             assert calls == [(400, 4)]
         else:  # built from the cloud's kept lists
-            assert len(calls) == 1
-            assert calls[0][0] == 400 and calls[0][1] is cloud.neighbors(4)
+            assert calls == [(400, cloud.neighbors(4), _chain_dists)]
         assert all(r is results[0] for r in results)
 
 
-class TestHoodBlock:
+class TestHoodValues:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_block_is_the_direct_formula_on_duplicate_rows(self, data):
+    def test_values_are_the_formulas_on_a_whole_block(self, data):
         # rows from a small pool plus a one-sided origin cluster, so
         # neighborhoods hold exact duplicates, zeros and -0.0
         d = data.draw(st.integers(min_value=1, max_value=7))
@@ -422,33 +424,42 @@ class TestHoodBlock:
         rows = data.draw(st.integers(min_value=1, max_value=n))  # built this many at a time
         cloud = PointCloud(pool[pick])
         with mock.patch.object(neighbors, "_HOOD_ROWS", rows):
-            block = cloud.hood_distances(k)
-        assert block.shape == (n, k + 1, k + 1)
-        assert not block.flags.writeable
+            chain = cloud.hood_values("cof", k, _chain_dists)
+            pair_sums = cloud.hood_values("ldof", k, _pair_sums)
+        # every neighborhood's distances at once, as one (n, k+1, k+1) array
         hood = cloud.points[np.column_stack([np.arange(n), cloud.neighbors(k).indices])]
-        want = np.sqrt(((hood[:, :, None] - hood[:, None]) ** 2).sum(-1))
-        assert block.tobytes() == want.tobytes()
-        assert block.tobytes() == block.transpose(0, 2, 1).copy().tobytes()
-        assert not block[:, np.arange(k + 1), np.arange(k + 1)].any()
-        assert cloud.hood_distances(k) is block
+        block = np.sqrt(((hood[:, :, None] - hood[:, None]) ** 2).sum(-1))
+        corner = np.ascontiguousarray(block[:, 1:, 1:])
+        for kept, want in ((chain, _avg_chain_dists(block)), (pair_sums, corner.sum(axis=(1, 2)))):
+            assert kept.shape == (n,)
+            assert not kept.flags.writeable
+            assert kept.tobytes() == want.tobytes()
+        assert cloud.hood_values("cof", k, _chain_dists) is chain
+        assert cloud.hood_values("ldof", k, _pair_sums) is pair_sums
 
-    def test_block_is_built_once_and_timed(self, rng, monkeypatch):
+    def test_values_are_built_once_per_kind_and_timed(self, rng, monkeypatch):
         cloud = normalize(np.maximum(rng.normal(size=(300, 3)), 0.0))
-        calls = _record_calls(monkeypatch, "hood_block")
-        assert cloud.build_ms("hood") == 0.0
-        block = cloud.hood_distances(5)
-        spent = cloud.build_ms("hood")
+        calls = _record_calls(monkeypatch, "hood_map")
+        assert cloud.build_ms("cof") == 0.0
+        chain = cloud.hood_values("cof", 5, _chain_dists)
+        spent = cloud.build_ms("cof")
         assert spent > 0.0
-        assert cloud.hood_distances(5) is block
-        assert cloud.build_ms("hood") == spent
-        assert [size for size, _ in calls] == [300]
+        assert cloud.build_ms("ldof") == 0.0
+        assert cloud.hood_values("cof", 5, _chain_dists) is chain
+        assert cloud.build_ms("cof") == spent
+        cloud.hood_values("ldof", 5, _pair_sums)
+        assert cloud.build_ms("cof") == spent and cloud.build_ms("ldof") > 0.0
+        assert [(size, reduce) for size, _, reduce in calls] == [
+            (300, _chain_dists),
+            (300, _pair_sums),
+        ]
 
-    def test_ldof_with_k_1_builds_no_block(self, rng, monkeypatch):
+    def test_ldof_with_k_1_builds_nothing(self, rng, monkeypatch):
         from driftguard import Method, ScoringConfig, score
 
         cloud = normalize(rng.random((50, 2)))
-        calls = _record_calls(monkeypatch, "hood_block")
+        calls = _record_calls(monkeypatch, "hood_map")
         with pytest.raises(DataError, match="k >= 2"):
             score(cloud, ScoringConfig(method=Method.LDOF, k=1))
         assert calls == []
-        assert cloud.build_ms("hood") == 0.0
+        assert cloud.build_ms("ldof") == 0.0

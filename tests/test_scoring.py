@@ -118,10 +118,11 @@ def test_sq_distances_bit_equal_to_summed_squares(data):
 
 
 @pytest.mark.parametrize("method", [Method.COF, Method.LDOF], ids=lambda m: m.value)
-def test_neighborhood_distances_build_no_difference_tensor(method, rng):
-    # An (n, k+1, k+1, d) or (n, k, k, d) difference array alone takes d units
-    # of n (k+1)^2 float64; the scorer's own peak stays under 3 units.
-    n, k = 3000, 10
+def test_score_peak_stays_under_the_kept_lists_bytes(method, rng):
+    # Scoring, kept build included, on a cloud whose kNN lists are kept. Its
+    # peak stays under the lists' own n k (8 + 8) bytes: an (n, k+1, k+1)
+    # float64 block of neighborhood distances alone is 6x that at k = 10.
+    n, k = 20_000, 10
     cloud = normalize(np.maximum(rng.standard_normal((n, 3)), 0.0))  # 1 row in 8 at the origin
     cloud.neighbors(k)
     tracemalloc.start()
@@ -130,7 +131,7 @@ def test_neighborhood_distances_build_no_difference_tensor(method, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * (k + 1) ** 2 * 8
+    assert peak < n * k * 16
 
 
 class TestKnnSum:
@@ -315,10 +316,10 @@ class TestLdof:
             score(LINE4, ScoringConfig(method=Method.LDOF, k=1))
 
     def test_pair_sums_taken_in_row_chunks_match_one_fresh_array(self, rng):
-        # more rows than one chunk of the block, and not a multiple of it
-        from driftguard.scoring import _LDOF_ROWS
+        # more rows than one chunk of the build, and not a multiple of it
+        from driftguard.neighbors import _HOOD_ROWS
 
-        n, k = 2 * _LDOF_ROWS + 37, 6
+        n, k = 2 * _HOOD_ROWS + 37, 6
         cloud = PointCloud(rng.random((n, 3)))
         nl = cloud.neighbors(k)
         nbr = cloud.points[nl.indices]

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import compress, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -197,12 +196,10 @@ def ground_truth(ms: MultiSeries) -> GroundTruthVector:
 # ---------------------------------------------------------------------------
 
 
-# emit_csv's timestamp layout, as code points; "0" marks a digit slot.
-_CANONICAL = np.array(list("0000-00-00T00:00:00")).view(np.uint32)
+# emit_csv's timestamp layout and the comma after it, as code points; "0" marks a digit slot.
+_CANONICAL = np.array(list("0000-00-00T00:00:00,")).view(np.uint32)
 _DIGIT_SLOT = _CANONICAL == ord("0")
 _FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))  # Y, M, D, h, m, s
-_NAN_IF_BLANK = {"": "nan"}
-_CHUNK_ROWS = 256  # under the gc's default youngest-generation threshold of 700
 _LABEL_CODES = {"": 0, "0": 0, "1": 1}
 # The C reader's spelling of a blank cell: float() reads it as NaN, and a file
 # that spells a cell so itself is left to the record reader
@@ -216,23 +213,22 @@ _LABEL_CHARS = 8
 _EMIT_ROWS = 4096  # rows emit_csv formats at a time
 
 
-def _canonical_stamps(stamps: np.ndarray, sized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the cells spelled exactly like emit_csv's stamps, and their epoch seconds.
+def _canonical_stamps(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the lines that start with a stamp spelled like emit_csv's, and their epoch seconds.
 
-    ``stamps`` is a string array at least 19 characters wide, whose first 19
-    are read; ``sized`` marks the cells exactly 19 characters long. The
-    digits are laid out one row per character slot, so each check and each
-    field's Horner sum runs along whole rows, and numpy's calendar gives
-    each month's first day and length. Cells whose fields name no instant
-    (year 0, month 13, February 30th, hour 24, second 60) are left out with
-    the other cells, which all take ``_parse_iso``.
+    ``heads`` is a ``U20`` array of the lines' first 20 characters: a stamp
+    is in the layout when these are its 19 characters and the comma after
+    it. The characters are laid out one row per slot, so each check and
+    each field's Horner sum runs along whole rows, and numpy's calendar
+    gives each month's first day and length. Stamps whose fields name no
+    instant (year 0, month 13, February 30th, hour 24, second 60) are left
+    out with the other lines, whose stamps all take ``_parse_iso``.
     """
-    codes = stamps.view(np.uint32).reshape(len(stamps), stamps.itemsize // 4)[:, :19].T
+    codes = heads.view(np.uint32).reshape(-1, _CANONICAL.size).T
     digits = codes.astype(np.int32, order="C") - ord("0")
     slot, canonical = _DIGIT_SLOT[:, None], _CANONICAL[:, None]
     ok = np.where(slot, (digits >= 0) & (digits <= 9), codes == canonical).all(axis=0)
-    ok &= sized
-    digits[:, ~ok] = 0  # keeps the calendar lookups below in range for the other cells
+    digits[:, ~ok] = 0  # keeps the calendar lookups below in range for the other lines
     fields = []
     for a, b in _FIELDS:
         number = digits[a]
@@ -250,70 +246,14 @@ def _canonical_stamps(stamps: np.ndarray, sized: np.ndarray) -> tuple[np.ndarray
     return ok, (first + day - 1) * 86_400 + hour * 3_600 + minute * 60 + second
 
 
-def _records(path, reader, count: int) -> list[list[str]]:
-    """The next ``count`` records at most; a malformed or undecodable file is a DataError."""
+def _next_record(path, reader) -> list[str] | None:
+    """The next record, or None past the last; a malformed or undecodable file is a DataError."""
     try:
-        return list(islice(reader, count))
+        return next(reader, None)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from None
-
-
-def _read_columns(path, reader, width: int) -> tuple[list[list[str]], np.ndarray, str | None]:
-    """Columns of the rows ``width`` cells wide, their row numbers, and any width error.
-
-    Reading stops at the first non-blank row of another width; its error is
-    returned, not raised, since an earlier row may fail first. Rows are
-    transposed a chunk at a time, fewer than the garbage collector's
-    youngest-generation threshold, so each row list dies before the collector
-    promotes it and no full collection walks a whole file of them.
-    """
-    cols: list[list[str]] = [[] for _ in range(width)]
-    nums = [np.empty(0, np.intp)]
-    start, error = 2, None
-    for chunk in iter(lambda: _records(path, reader, _CHUNK_ROWS), []):
-        at = np.arange(start, start + len(chunk))
-        start += len(chunk)
-        if set(map(len, chunk)) != {width}:
-            for i, row in enumerate(chunk):
-                if len(row) != width and any(c.strip() for c in row):
-                    error = f"{path}: row {at[i]} has {len(row)} cells, header has {width}"
-                    chunk, at = chunk[:i], at[:i]
-                    break
-            kept = [i for i, row in enumerate(chunk) if len(row) == width]
-            chunk, at = [chunk[i] for i in kept], at[kept]
-        for col, cells in zip(cols, zip(*chunk)):
-            col.extend(cells)
-        nums.append(at)
-        if error:
-            break
-    return cols, np.concatenate(nums), error
-
-
-def _walk(cells, parse, dtype) -> tuple[np.ndarray | None, int | None]:
-    """Parse stripped cells one at a time: (array, None), or (None, first failing position)."""
-    out = np.empty(len(cells), dtype)
-    for i, cell in enumerate(cells):
-        try:
-            out[i] = parse(cell.strip())
-        except (KeyError, ValueError):
-            return None, i
-    return out, None
-
-
-def _value_column(cells):
-    try:
-        values = map(float, map(_NAN_IF_BLANK.get, cells, cells))
-        return np.fromiter(values, np.float64, len(cells)), None
-    except ValueError:  # a bad cell, or a whitespace-only one
-        return _walk(cells, lambda c: float(c) if c else math.nan, np.float64)
-
-
-def _label_column(cells):
-    if _LABEL_CODES.keys() >= set(cells):
-        return np.fromiter(map(_LABEL_CODES.get, cells), np.uint8, len(cells)), None
-    return _walk(cells, _LABEL_CODES.__getitem__, np.uint8)
 
 
 def _plain_pieces(data: bytes):
@@ -383,10 +323,7 @@ def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: lis
                 len(line.replace(_BLANK, "")) > limit for line in lines
             ):
                 return None
-            # a canonical stamp is a line's first 19 characters, followed by a comma
-            heads = np.array(lines, "U20")
-            parsed, ts = _canonical_stamps(heads, heads.view(np.uint32)[19::20] == ord(","))
-            del heads
+            parsed, ts = _canonical_stamps(np.array(lines, "U20"))
             for i in np.flatnonzero(~parsed).tolist():
                 ts[i] = _parse_iso(lines[i].partition(",")[0])
             if (np.diff(ts, prepend=stamps[-1][-1:]) <= 0).any():
@@ -415,56 +352,53 @@ def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: lis
 def _read_records(path, reader, header: list[str], wanted: list[str], labelled: list[str]):
     """(timestamps, values by variable, labels by variable) of the data rows left in ``reader``.
 
-    Raises the DataError a row-by-row read meets first, and logs the
-    rejected rows when it raises none.
+    Checks the rows one at a time, in file order and as ``ingest_csv``
+    describes. The first failing row's DataError is raised only once the
+    rest of the file has been read unchecked, so a record the csv module
+    cannot read anywhere in the file comes first. The rejected rows are
+    logged when nothing raises.
     """
-    cols, row_nums, width_error = _read_columns(path, reader, len(header))
-    ts_col = header[0]
-    stamps = cols[0]
-    sized = np.fromiter(map(len, stamps), np.intp, len(stamps)) == 19
-    parsed, ts = _canonical_stamps(np.array(stamps, "U19"), sized)  # longer cells cut
-    blank = np.zeros(len(stamps), dtype=bool)
-    for i in np.flatnonzero(~parsed).tolist():
+    ts_col, width = header[0], len(header)
+    index = {name: i for i, name in enumerate(header)}
+    stamps: list[int] = []
+    values = {v: [] for v in wanted}
+    labels = {v: [] for v in labelled}
+    value_cells = [(v, index[v], values[v]) for v in wanted]
+    label_cells = [(v + LABEL_SUFFIX, index[v + LABEL_SUFFIX], labels[v]) for v in labelled]
+    rejected, error = [], None
+    for num, row in enumerate(iter(lambda: _next_record(path, reader), None), start=2):
+        if error or not any(map(str.strip, row)):
+            continue
+        if len(row) != width:
+            error = f"{path}: row {num} has {len(row)} cells, header has {width}"
+            continue
         try:
-            ts[i] = _parse_iso(stamps[i])
-            parsed[i] = True
+            ts = _parse_iso(row[0])
         except ValueError:
-            blank[i] = not any(col[i].strip() for col in cols)
-    rejected = row_nums[~parsed & ~blank].tolist()
-
-    keep = None if parsed.all() else parsed.tolist()
-    nums = row_nums[parsed]
-    col_index = {name: i for i, name in enumerate(header)}
-    values: dict[str, np.ndarray] = {}
-    labels: dict[str, np.ndarray] = {}
-    checks = [(values, v, v, _value_column, "unparseable value {!r}") for v in wanted]
-    checks += [
-        (labels, v, v + LABEL_SUFFIX, _label_column, "label must be 0 or 1, got {!r}")
-        for v in labelled
-    ]
-    ts_arr = ts[parsed]
-    steps = np.diff(ts_arr)
-    back = np.flatnonzero(steps <= 0)
-    errors = []  # (position, check order, message): the first in row-by-row order wins
-    if back.size:  # order -1: checked before the row's cells
-        i = int(back[0]) + 1
-        stamp, before = _format_epoch(ts_arr[i]), _format_epoch(ts_arr[i - 1])
-        what = f"duplicate timestamp {stamp}" if steps[i - 1] == 0 else (
-            f"timestamps not increasing ({stamp} after {before})"
-        )
-        errors.append((i, -1, f"{path}: row {nums[i]}, column {ts_col!r}: {what}"))
-    for order, (out, v, col, parse, complaint) in enumerate(checks):
-        cells = cols[col_index[col]]
-        if keep is not None:
-            cells = list(compress(cells, keep))
-        out[v], bad = parse(cells)
-        if bad is not None:
-            what = complaint.format(cells[bad].strip())
-            errors.append((bad, order, f"{path}: row {nums[bad]}, column {col!r}: {what}"))
-    if errors:
-        raise DataError(min(errors)[2])
-    if width_error:
-        raise DataError(width_error)
+            rejected.append(num)
+            continue
+        if stamps and ts <= stamps[-1]:
+            stamp, before = _format_epoch(ts), _format_epoch(stamps[-1])
+            what = f"duplicate timestamp {stamp}" if ts == stamps[-1] else (
+                f"timestamps not increasing ({stamp} after {before})"
+            )
+            error = f"{path}: row {num}, column {ts_col!r}: {what}"
+            continue
+        try:
+            for col, at, out in value_cells:
+                cell = row[at].strip()
+                out.append(float(cell) if cell else math.nan)
+            for col, at, out in label_cells:
+                cell = row[at].strip()
+                out.append(_LABEL_CODES[cell])
+        except ValueError:
+            error = f"{path}: row {num}, column {col!r}: unparseable value {cell!r}"
+        except KeyError:
+            error = f"{path}: row {num}, column {col!r}: label must be 0 or 1, got {cell!r}"
+        else:
+            stamps.append(ts)
+    if error:
+        raise DataError(error)
 
     if rejected:
         log.warning(
@@ -474,9 +408,13 @@ def _read_records(path, reader, header: list[str], wanted: list[str], labelled: 
             ts_col,
             rejected,
         )
-    if not nums.size:
+    if not stamps:
         raise DataError(f"{path}: no usable data rows")
-    return ts_arr, values, labels
+    return (
+        np.array(stamps, np.int64),
+        {v: np.array(cells, np.float64) for v, cells in values.items()},
+        {v: np.array(codes, np.uint8) for v, codes in labels.items()},
+    )
 
 
 def ingest_csv(
@@ -496,13 +434,14 @@ def ingest_csv(
     falls back to the record reader (``_read_records``), which reads the same
     bytes, gives the same result and alone writes every error and warning.
 
-    The record reader parses each column at once and walks it cell by cell
-    only when it fails, so the error raised is the one a row-by-row read
-    meets first: the earliest failing row, and within it the cell count,
-    then a timestamp that repeats or goes back from the row before, then the
-    values in ``variables`` order, then the labels. Rows with a rejected
-    timestamp are not read further, and the rejected rows are logged only
-    when no row error is raised.
+    The record reader is one loop over the rows, so the error raised is the
+    earliest failing row's, and within it the cell count, then a timestamp
+    that repeats or goes back from the row before, then the values in
+    ``variables`` order, then the labels. A record the csv module cannot
+    read (an undecodable byte, an overlong field) anywhere in the file is
+    reported before any row error. Rows with a rejected timestamp are not
+    read further, and the rejected rows are logged only when no error is
+    raised.
     """
     try:
         with open(path, "rb") as fh:
@@ -511,10 +450,10 @@ def ingest_csv(
         raise DataError(f"cannot read {path}: {exc}") from None
     text = io.TextIOWrapper(io.BytesIO(data), newline="")
     reader = csv.reader(text)
-    first = _records(path, reader, 1)
-    if not first:
+    first = _next_record(path, reader)
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in first[0]]
+    header = [h.strip() for h in first]
     if len(header) < 2:
         raise DataError(f"{path}: header must contain a timestamp column plus variables")
     data_cols = header[1:]

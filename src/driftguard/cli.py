@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import ConfigError, DataError, DriftguardError
 from .evaluation import Combo, grid_evaluate, write_report_csv
+from .neighbors import thread_cap
 from .pipeline import PipelineConfig, distinct_variables, run_detection
 from .rules import UNBOUNDED, RuleConfig
 from .scoring import Method, ScoringConfig
@@ -243,6 +244,7 @@ class _Settings(NamedTuple):
 
 def _settings(cfg: dict, combo_specs=()) -> _Settings:
     """Every object ``cfg`` and ``combo_specs`` configure, built once per command before input."""
+    thread_cap()  # a bad DRIFTGUARD_THREADS is a config error before any input is read
     if cfg["seed"] < 0:
         raise ConfigError(f"seed: must be non-negative, got {cfg['seed']}")
     if cfg["reps"] < 3:

@@ -5,21 +5,22 @@ sensitivity and specificity; it is the headline ranking metric. 0/0 ratios are
 reported as NaN rather than coerced.
 
 The grid is evaluated by cloud: combos sharing (variables, transform) share
-one rules -> transform -> normalize build, and the cloud is the thread pool's
-unit of work. One worker builds the cloud and runs its combos one after
-another: only the per-method stages of ``pipeline.detect_on_cloud``, reading
-each prediction; no flag is ever described. The cloud keeps its own kNN
-lists, Leader clustering and COF's and LDOF's one number per point, each
-built by the first combo that reads it, and is dropped when its worker moves
-on, so at most ``workers`` clouds are alive at once.
+one rules -> transform -> normalize build, and the cloud is the unit of work
+of ``neighbors.parallel_map``, under the thread budget ``knn`` uses too. One
+worker builds the cloud and runs its combos one after another: only the
+per-method stages of ``pipeline.detect_on_cloud``, reading each prediction;
+no flag is ever described. Inside a worker, ``knn`` runs its blocks inline,
+so the threads never multiply; a grid of one cloud runs inline, and its
+``knn`` gets the threads. The cloud keeps its own kNN lists, Leader
+clustering and COF's and LDOF's one number per point, each built by the
+first combo that reads it, and is dropped when its worker moves on, so at
+most ``workers`` clouds are alive at once.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .core import GroundTruthVector, MultiSeries, ground_truth, write_csv
 from .errors import ConfigError, DataError
+from .neighbors import parallel_map, thread_cap
 from .pipeline import (
     PipelineConfig,
     PreparedCloud,
@@ -178,13 +180,6 @@ def _cloud_key(combo: Combo) -> tuple:
     return tuple(combo.variables), combo.transform
 
 
-def _map(fn, items: list, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def grid_evaluate(
     ms: MultiSeries,
     combos: Sequence[Combo],
@@ -204,7 +199,8 @@ def grid_evaluate(
     builds: its kNN lists, its Leader clustering and COF's and LDOF's one
     number per point, each made by the first combo that reads it.
     The pool's unit is the cloud: one worker builds it and runs its combos
-    one after another, and the cloud is dropped when they are done.
+    one after another, and the cloud is dropped when they are done. The pool
+    has ``max_workers`` threads, by default ``neighbors.thread_cap()``.
     Every report counts the same predictions as ``run_detection`` would for
     its combo.
 
@@ -224,8 +220,12 @@ def grid_evaluate(
     (variables, transformation, method).
     """
     _check_repetitions(repetitions)
+    # knn and leader import scipy's kd-tree on first use; import it here, so
+    # no cloud's timed build includes the import.
+    import scipy.spatial  # noqa: F401
+
     truth = ground_truth(ms)
-    workers = max_workers or thread_cap() or min(4, len(combos)) or 1
+    workers = max_workers or thread_cap()
 
     def run_cloud(group: list[Combo]) -> list[EvaluationReport]:
         variables, transform = _cloud_key(group[0])
@@ -274,22 +274,8 @@ def grid_evaluate(
     by_cloud: dict[tuple, list[Combo]] = {}
     for combo in combos:
         by_cloud.setdefault(_cloud_key(combo), []).append(combo)
-    reports = _map(run_cloud, list(by_cloud.values()), workers)
+    reports = parallel_map(run_cloud, list(by_cloud.values()), workers)
     return sorted((report for group in reports for report in group), key=_sort_key)
-
-
-def thread_cap() -> int | None:
-    """Parallelism cap from DRIFTGUARD_THREADS, if set."""
-    raw = os.environ.get("DRIFTGUARD_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"DRIFTGUARD_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError("DRIFTGUARD_THREADS must be at least 1")
-    return cap
 
 
 def _fmt(x: float, places: int = 4) -> str:

@@ -16,32 +16,45 @@ ranked distance may miss points tied at that distance, so its query is run
 again with the window doubled, until the window settles or holds every
 distinct point.
 
+The queries run in blocks, each ranked into its own rows of the result, so
+the blocks of a pass run on ``parallel_map``'s threads, the map the
+``evaluate`` grid uses too. ``thread_cap`` is their one budget:
+``DRIFTGUARD_THREADS`` if set, else the CPUs this process may run on. A map
+called from a worker of another runs inline, so ``knn`` inside a grid worker
+runs its blocks on that worker's thread. The lists are the same bits under
+any budget.
+
 Leader clustering follows the same contract: one tree over the cloud, one
 ball query per exemplar, and each candidate's distance recomputed from the
 coordinates, so the clusters are those of a direct single pass.
+
+scipy's kd-tree is imported by the first ``knn`` or ``leader`` call, so a
+command that builds no tree does not pay for the import.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # Distinct points in the first tree window beyond the k + 1 a query needs.
 # Queries whose window cannot prove its (k + 1)-th row are run again with the
 # window doubled, so this only trades first-pass width against re-queries.
 _QUERY_PAD = 2
-# Distinct points queried and ranked together in the first pass. Widened
-# windows are queried in smaller batches, so no batch of two or more queries
-# expands to over _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1) rows; this bounds
-# peak memory.
+# Distinct points queried and ranked at once in the first pass, across all
+# the threads of the budget: each thread's block holds its share. Widened
+# windows are queried in smaller blocks, so the blocks of two or more queries
+# in flight at once expand to at most _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1)
+# rows in all; this bounds peak memory.
 _BLOCK = 2048
 # Neighborhoods hood_map hands its reduce together, so a build needs little
 # scratch memory beyond its (n,) result.
@@ -49,6 +62,43 @@ _HOOD_ROWS = 128
 # Relative margin on a Leader ball query, far above rounding in the tree's
 # distances, so the ball holds every point the exact formula puts in reach.
 _BALL_PAD = 1e-9
+
+# Set in parallel_map's worker threads, so a map called from one runs inline.
+_worker = threading.local()
+
+
+def thread_cap() -> int:
+    """The thread budget: DRIFTGUARD_THREADS if set, else the CPUs this process may run on."""
+    raw = os.environ.get("DRIFTGUARD_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigError(f"DRIFTGUARD_THREADS must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ConfigError("DRIFTGUARD_THREADS must be at least 1")
+    return cap
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def parallel_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads.
+
+    Runs inline, creating no pool, for one item or one worker, and when
+    called from inside a worker of another ``parallel_map``: nested maps
+    never multiply the thread count.
+    """
+    if workers > 1 and len(items) > 1 and not getattr(_worker, "active", False):
+        with ThreadPoolExecutor(min(workers, len(items)), initializer=_mark_worker) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -176,6 +226,7 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
         raise DataError("k must be at least 1")
     if k >= n:
         raise DataError(f"k={k} must be smaller than the cloud size n={n}")
+    from scipy.spatial import cKDTree
 
     # Rows with equal coordinates share their k + 1 best rows; each row's list
     # is its group's with the row itself dropped. A group can place at most
@@ -195,29 +246,34 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     width = np.minimum(np.diff(first, append=n), take)
     top_ids = np.empty((n_uniq, take), dtype=np.int64)
     top_d = np.empty((n_uniq, take), dtype=np.float64)
-
     tree = cKDTree(uniq)
+
+    def run_block(u, m):
+        """Rank the queries ``u`` from windows of ``m``; return those the window may not hold."""
+        query = uniq[u]
+        _, cand = tree.query(query, k=m)
+        cand = cand.reshape(len(u), m)
+        # Tree output selects candidates only; distances are recomputed from
+        # the coordinates so values and tie order match a direct scan bit
+        # for bit.
+        d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
+        top_ids[u], top_d[u] = _rank(cand, d_cand, members, first, width, take)
+        # A window provably holds every point at distance <= the (k+1)-th
+        # selected distance only when its farthest candidate lies strictly
+        # beyond it; otherwise distinct points tied at that distance may
+        # lie outside the window.
+        return u[d_cand.max(axis=1) <= top_d[u, -1]]
+
+    workers = thread_cap()
     budget = _BLOCK * (take + _QUERY_PAD) * take
     m = min(n_uniq, take + _QUERY_PAD)
     pending = np.arange(n_uniq)
     while len(pending):
-        needy = []
-        step = max(1, budget // (m * take))
-        for lo in range(0, len(pending), step):
-            u = pending[lo : lo + step]
-            query = uniq[u]
-            _, cand = tree.query(query, k=m)
-            cand = cand.reshape(len(u), m)
-            # Tree output selects candidates only; distances are recomputed from
-            # the coordinates so values and tie order match a direct scan bit
-            # for bit.
-            d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
-            top_ids[u], top_d[u] = _rank(cand, d_cand, members, first, width, take)
-            # A window provably holds every point at distance <= the (k+1)-th
-            # selected distance only when its farthest candidate lies strictly
-            # beyond it; otherwise distinct points tied at that distance may
-            # lie outside the window.
-            needy.append(u[d_cand.max(axis=1) <= top_d[u, -1]])
+        # Each block writes its own rows of top_ids and top_d, so blocks run
+        # in any order and on any thread.
+        step = max(1, budget // (m * take * workers))
+        blocks = [pending[lo : lo + step] for lo in range(0, len(pending), step)]
+        needy = parallel_map(partial(run_block, m=m), blocks, workers)
         if m == n_uniq:
             break
         pending = np.concatenate(needy)
@@ -297,6 +353,8 @@ def leader(cloud: PointCloud, radius: float) -> LeaderClustering:
     """
     if not radius > 0:
         raise DataError("leader radius must be positive")
+    from scipy.spatial import cKDTree
+
     pts = cloud.points
     n = len(pts)
     assignment = np.empty(n, dtype=np.int64)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from driftguard import (
     ingest_csv,
     run_detection,
 )
-from driftguard import cli
+from driftguard import cli, neighbors
 from driftguard.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -691,6 +694,62 @@ def test_each_command_builds_its_settings_once(tmp_path, monkeypatch, command, e
         args = [command, "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]
     assert main(args + extra) == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "detect", "evaluate", "plot-data"])
+@pytest.mark.parametrize(
+    "value, named",
+    [("zero", "DRIFTGUARD_THREADS must be an integer, got 'zero'"),
+     ("0", "DRIFTGUARD_THREADS must be at least 1")],
+)
+def test_bad_thread_cap_is_refused_before_the_input_is_read(
+    tmp_path, caplog, monkeypatch, command, value, named
+):
+    monkeypatch.setenv("DRIFTGUARD_THREADS", value)
+    out = tmp_path / "o"
+    if command == "synth":
+        args = ["synth", "--out", str(out / "s.csv")]
+    else:
+        args = [command, "--input", str(tmp_path / "none.csv"), "--out-dir", str(out)]
+        if command == "plot-data":
+            args += ["--figure", "scores"]
+    assert main(args) == EXIT_CONFIG
+    assert named in caplog.text
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    # synth, --help and config errors build no kd-tree, so they do not pay for its import
+    code = "import sys, driftguard.cli; sys.exit('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_detect_with_a_cap_of_one_creates_no_pool(tmp_path, monkeypatch):
+    # kNN splits the cloud into many blocks; a cap of 1 runs them all inline,
+    # a cap of 2 runs them on a pool, and both write the same bytes
+    cfg = write_config(tmp_path)
+    data = synth(tmp_path, cfg)
+    monkeypatch.setattr(neighbors, "_BLOCK", 8)
+    pools = []
+    real = neighbors.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neighbors, "ThreadPoolExecutor", spy)
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DRIFTGUARD_THREADS", threads)
+        pools.clear()
+        out = tmp_path / threads
+        assert main(["detect", "--input", str(data), "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        written[threads] = len(pools), [
+            (out / name).read_bytes() for name in ("detections.csv", "trace.csv", "manifest.json")
+        ]
+    assert written["1"][0] == 0 and written["2"][0] > 0
+    assert written["1"][1] == written["2"][1]
 
 
 def test_ranges_are_echoed_as_typed(tmp_path):

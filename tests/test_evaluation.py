@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
+import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from driftguard import (
     confusion,
     grid_evaluate,
     metrics,
+    neighbors,
     write_report_csv,
 )
 from driftguard.errors import ConfigError
@@ -455,18 +461,52 @@ class TestGrid:
             assert a.metric_set == b.metric_set
             assert a.error == b.error
 
-    def test_thread_cap_env(self, monkeypatch):
-        from driftguard.evaluation import thread_cap
-        monkeypatch.delenv("DRIFTGUARD_THREADS", raising=False)
-        assert thread_cap() is None
-        monkeypatch.setenv("DRIFTGUARD_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("DRIFTGUARD_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.setenv("DRIFTGUARD_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_cap()
+    def test_no_timed_build_includes_the_kd_tree_import(self):
+        # knn imports scipy's kd-tree on first use; in a fresh process the
+        # grid imports it first, so no cloud's build time carries the import
+        code = textwrap.dedent("""
+            import sys
+            from driftguard import Combo, Method, TransformKind, grid_evaluate, neighbors, synth_series
+            from driftguard.core import BaseSignal, FaultSpec, SynthConfig
+            imported = []
+            real = neighbors.knn
+            def knn(cloud, k):
+                imported.append("scipy.spatial" in sys.modules)
+                return real(cloud, k)
+            neighbors.knn = knn
+            assert "scipy.spatial" not in sys.modules
+            combo = Combo(("turbidity",), TransformKind.ORIGINAL, Method.KNN_SUM)
+            cfg = SynthConfig(
+                n_points=200,
+                base={"turbidity": BaseSignal(20.0, 5.0, 400.0, 0.1)},
+                faults=(FaultSpec("turbidity", 150, "spike", 150.0),),
+            )
+            grid_evaluate(synth_series(cfg, seed=7), [combo], repetitions=3)
+            sys.exit(0 if imported and all(imported) else 1)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+    def test_knn_in_a_grid_worker_runs_its_blocks_inline(self, labeled_synth, monkeypatch):
+        # kNN splits each cloud into many blocks, yet the two-cloud grid
+        # creates only its own pool: its workers run knn inline
+        monkeypatch.setenv("DRIFTGUARD_THREADS", "2")
+        monkeypatch.setattr(neighbors, "_BLOCK", 8)
+        pools = []
+        real = neighbors.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "ThreadPoolExecutor", spy)
+        grid_evaluate(labeled_synth, self.combos(), repetitions=3, max_workers=2)
+        assert pools == [threading.main_thread()]
+        # a one-cloud grid runs inline, so its knn gets the pool
+        pools.clear()
+        grid_evaluate(labeled_synth, self.combos()[:1], repetitions=3, max_workers=2)
+        assert pools and set(pools) == {threading.main_thread()}
 
     def test_report_csv_columns(self, labeled_synth, tmp_path):
         reports = grid_evaluate(labeled_synth, self.combos(), repetitions=3)

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +19,8 @@ from driftguard import (
     neighbors,
     normalize,
 )
-
+from driftguard.errors import ConfigError
+from driftguard.neighbors import parallel_map, thread_cap
 from driftguard.scoring import _avg_chain_dists, _chain_dists, _pair_sums
 
 import reference as ref
@@ -57,6 +62,13 @@ class TestNormalize:
         np.testing.assert_array_equal(normalize(cloud.points).points, cloud.points)
 
 
+@pytest.fixture(params=[1, 3], ids=["cap1", "cap3"])
+def cap(request, monkeypatch):
+    """DRIFTGUARD_THREADS at 1, and at 3: the lists must be the same bits at any thread count."""
+    monkeypatch.setenv("DRIFTGUARD_THREADS", str(request.param))
+    return request.param
+
+
 class TestKnn:
     def test_1d_distance_sums(self):
         cloud = PointCloud(np.array([[0.0], [1.0], [2.0], [10.0]]))
@@ -81,7 +93,7 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices[0], [1, 2])
         np.testing.assert_array_equal(nl.indices[3], [1, 2])
 
-    def test_matches_bruteforce_random(self, rng):
+    def test_matches_bruteforce_random(self, rng, cap):
         for _ in range(25):
             n = int(rng.integers(12, 300))
             d = int(rng.integers(1, 4))
@@ -92,7 +104,7 @@ class TestKnn:
             np.testing.assert_array_equal(nl.indices, ridx)
             np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_matches_bruteforce_with_many_duplicates(self, rng):
+    def test_matches_bruteforce_with_many_duplicates(self, rng, cap):
         # heavy ties exercise the widened windows of rows tied at the edge
         base = rng.integers(0, 4, (80, 2)).astype(float)
         nl = knn(PointCloud(base), 10)
@@ -100,7 +112,7 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_matches_bruteforce_at_two_thousand_points(self, rng):
+    def test_matches_bruteforce_at_two_thousand_points(self, rng, cap):
         pts = rng.random((2000, 3))
         nl = knn(PointCloud(pts), 10)
         ridx, rdist = ref.ref_knn(pts, 10)
@@ -112,13 +124,16 @@ class TestKnn:
         st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bruteforce_property(self, pts, k):
-        nl = knn(PointCloud(pts), k)
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_bruteforce_property(self, threads, pts, k):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("DRIFTGUARD_THREADS", threads)
+            nl = knn(PointCloud(pts), k)
         ridx, rdist = ref.ref_knn(pts, k)
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_matches_bruteforce_one_sided_cloud(self, rng):
+    def test_matches_bruteforce_one_sided_cloud(self, rng, cap):
         # one-sided clipping: ~1/8 of the rows on the origin, far more than a
         # tree window holds, plus exact ties on the clipped faces
         pts = np.maximum(rng.normal(size=(2000, 3)), 0.0)
@@ -129,7 +144,7 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_every_row_identical(self):
+    def test_every_row_identical(self, cap):
         pts = np.full((40, 2), 0.25)
         nl = knn(PointCloud(pts), 10)
         ridx, rdist = ref.ref_knn(pts, 10)
@@ -139,7 +154,7 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices[5], [0, 1, 2, 3, 4, 6, 7, 8, 9, 10])
 
     @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_duplicate_groups_around_group_size_k(self, rng, k):
+    def test_duplicate_groups_around_group_size_k(self, rng, k, cap):
         # groups of exactly k, k+1 and k+2 coincident rows, each ringed by
         # four distinct points at distance 1; rows shuffled so index order
         # decides every tie
@@ -154,7 +169,7 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_blocks_and_fallback_match_bruteforce(self, rng, monkeypatch):
+    def test_blocks_and_fallback_match_bruteforce(self, rng, monkeypatch, cap):
         # many small blocks and a window too narrow for the lattice's rings
         # of equidistant points, so windows are widened in most blocks
         monkeypatch.setattr(neighbors, "_BLOCK", 7)
@@ -167,7 +182,8 @@ class TestKnn:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bruteforce_property_on_lattice(self, data):
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_bruteforce_property_on_lattice(self, threads, data):
         # small-integer lattices: duplicate groups of every size and exact
         # distance ties; -0.0 must tie with 0.0
         n = data.draw(st.integers(min_value=2, max_value=60))
@@ -175,12 +191,14 @@ class TestKnn:
         k = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
         coords = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
         pts = data.draw(arrays(np.float64, (n, d), elements=coords))
-        nl = knn(PointCloud(pts), k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("DRIFTGUARD_THREADS", threads)
+            nl = knn(PointCloud(pts), k)
         ridx, rdist = ref.ref_knn(pts, k)
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
 
-    def test_widening_doubles_window_until_tie_ring_fits(self, rng, monkeypatch):
+    def test_widening_doubles_window_until_tie_ring_fits(self, rng, monkeypatch, cap):
         # a centre (twice) ringed by the 30 lattice points at distance 5 and
         # the 72 at sqrt(26): with k = 3 the centre's window starts at 4 and
         # doubles to 8, 16 and 32 before the whole ring fits
@@ -204,13 +222,15 @@ class TestKnn:
         np.testing.assert_array_equal(nl.indices, ridx)
         np.testing.assert_array_equal(nl.distances, rdist)
         assert max(w for _, w in windows) >= 32
-        # only a lone query expands past _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1)
-        assert all(b == 1 or b * w * 4 <= 5 * 4 * 4 for b, w in windows)
+        # only a lone query expands past its thread's share of
+        # _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1)
+        assert all(b == 1 or b * w * 4 * cap <= 5 * 4 * 4 for b, w in windows)
         assert (1, 32) in windows
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bruteforce_property_on_lattice_widening(self, data):
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_bruteforce_property_on_lattice_widening(self, threads, data):
         # the lattice property from the narrowest window, in small blocks, so
         # most ties at the window's edge are settled by widening
         n = data.draw(st.integers(min_value=2, max_value=60))
@@ -222,6 +242,7 @@ class TestKnn:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "_QUERY_PAD", 0)
             mp.setattr(neighbors, "_BLOCK", block)
+            mp.setenv("DRIFTGUARD_THREADS", threads)
             nl = knn(PointCloud(pts), k)
         ridx, rdist = ref.ref_knn(pts, k)
         np.testing.assert_array_equal(nl.indices, ridx)
@@ -230,6 +251,37 @@ class TestKnn:
     def test_distances_nondecreasing(self, rng):
         nl = knn(PointCloud(rng.random((200, 3))), 10)
         assert (np.diff(nl.distances, axis=1) >= 0).all()
+
+    def test_many_threads_switching_fast_match_bruteforce(self, rng, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: every block's rows of the shared result must survive
+        monkeypatch.setenv("DRIFTGUARD_THREADS", "8")
+        monkeypatch.setattr(neighbors, "_BLOCK", 16)
+        pts = rng.integers(0, 12, (600, 3)).astype(float)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            nl = knn(PointCloud(pts), 5)
+        finally:
+            sys.setswitchinterval(interval)
+        ridx, rdist = ref.ref_knn(pts, 5)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
+    def test_traced_peak_is_bounded_by_the_result(self, rng, monkeypatch):
+        # the blocks every thread has in flight share one _BLOCK bound, so
+        # more threads do not multiply the scratch; tracemalloc traces them all
+        monkeypatch.delenv("DRIFTGUARD_THREADS", raising=False)  # a budget of the machine's CPUs
+        cloud = PointCloud(rng.random((20_000, 3)))
+        knn(PointCloud(cloud.points[:50]), 10)  # imports made outside the trace
+        tracemalloc.start()
+        try:
+            nl = knn(cloud, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = nl.indices.nbytes + nl.distances.nbytes  # 3.2 MB
+        assert peak <= 4 * result
 
 
 class TestLeader:
@@ -307,6 +359,42 @@ class TestLeader:
 def test_default_radius_formula():
     assert default_leader_radius(100, 2) == pytest.approx(0.1 / np.log(100) ** 0.5)
     assert default_leader_radius(1000, 3) == pytest.approx(0.1 / np.log(1000) ** (1 / 3))
+
+
+class TestThreadBudget:
+    def test_thread_cap_env(self, monkeypatch):
+        monkeypatch.delenv("DRIFTGUARD_THREADS", raising=False)
+        assert thread_cap() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert thread_cap() == 5
+        monkeypatch.setenv("DRIFTGUARD_THREADS", "3")
+        assert thread_cap() == 3
+        monkeypatch.setenv("DRIFTGUARD_THREADS", "zero")
+        with pytest.raises(ConfigError, match="DRIFTGUARD_THREADS must be an integer, got 'zero'"):
+            thread_cap()
+        monkeypatch.setenv("DRIFTGUARD_THREADS", "0")
+        with pytest.raises(ConfigError, match="at least 1"):
+            thread_cap()
+
+    def test_map_keeps_item_order(self):
+        assert parallel_map(lambda x: x * x, list(range(20)), 4) == [x * x for x in range(20)]
+
+    def test_map_inside_a_worker_runs_inline(self):
+        def inner(_):
+            return threading.current_thread()
+
+        def outer(x):
+            return threading.current_thread(), parallel_map(inner, [x, x, x], 4)
+
+        for worker, inner_threads in parallel_map(outer, [1, 2, 3], 3):
+            assert worker is not threading.main_thread()
+            assert inner_threads == [worker] * 3
+
+    @pytest.mark.parametrize("items, workers", [([1], 4), ([1, 2, 3], 1)])
+    def test_one_item_or_one_worker_creates_no_pool(self, items, workers, monkeypatch):
+        monkeypatch.setattr(neighbors, "ThreadPoolExecutor", None)  # calling it would raise
+        assert parallel_map(str, items, workers) == [str(x) for x in items]
 
 
 def _record_calls(monkeypatch, name):

@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 LABEL_SUFFIX = "_label"
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
 
 
 def _own(a, dtype) -> np.ndarray:
@@ -50,9 +51,9 @@ def _parse_iso(text: str) -> int:
     if t.endswith("Z"):
         t = t[:-1] + "+00:00"
     dt = datetime.fromisoformat(t)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return (dt - _EPOCH) // timedelta(seconds=1)
+    # a naive stamp is UTC, so it is measured from the naive epoch as it is
+    epoch = _NAIVE_EPOCH if dt.tzinfo is None else _EPOCH
+    return (dt - epoch) // timedelta(seconds=1)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ kNN is kd-tree accelerated but contractually exact, identical to brute force
 with ties broken by lower index. It runs on the distinct points: exact
 duplicate rows (the origin cluster of the one-sided transform) collapse into
 one tree point. The tree only selects a window of nearest distinct points per
-query; distances are recomputed from coordinates, each window is expanded
-into its rows and ranked by (distance, index) in its own row of an array. A
-window whose farthest point does not lie strictly beyond the (k + 1)-th
-ranked distance may miss points tied at that distance, so its query is run
-again with the window doubled, until the window settles or holds every
-distinct point.
+query, and their distances are recomputed from the coordinates. A window the
+tree gave in (distance, index) order, none of whose points stands for several
+rows, is already ranked; only the other windows are expanded into their rows
+and sorted by (distance, index). A window whose farthest point does not lie
+strictly beyond the (k + 1)-th ranked distance may miss points tied at that
+distance, so its query is run again with the window doubled, until the
+window settles or holds every distinct point. Each row's list is its group's
+with the row itself dropped.
 
 The queries run in blocks, each ranked into its own rows of the result, so
 the blocks of a pass run on ``parallel_map``'s threads, the map the
@@ -49,7 +51,9 @@ from .errors import ConfigError, DataError
 # Distinct points in the first tree window beyond the k + 1 a query needs.
 # Queries whose window cannot prove its (k + 1)-th row are run again with the
 # window doubled, so this only trades first-pass width against re-queries.
-_QUERY_PAD = 2
+# One is the fewest that can prove it; no query of the benchmark's clouds
+# needed a wider window at one or at two.
+_QUERY_PAD = 1
 # Distinct points queried and ranked at once in the first pass, across all
 # the threads of the budget: each thread's block holds its share. Widened
 # windows are queried in smaller blocks, so the blocks of two or more queries
@@ -219,6 +223,11 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     """Exact k nearest neighbors of every point, self excluded.
 
     Euclidean metric; ties broken by lower index. Raises when k >= n.
+
+    Each distinct point's k + 1 best rows come from a kd-tree window of
+    nearest distinct points, with distances recomputed from the coordinates;
+    a window already in (distance, index) order with no duplicate rows behind
+    it is taken as it is, and any other is expanded and sorted (``_rank``).
     """
     pts = cloud.points
     n = len(pts)
@@ -247,22 +256,35 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
     top_ids = np.empty((n_uniq, take), dtype=np.int64)
     top_d = np.empty((n_uniq, take), dtype=np.float64)
     tree = cKDTree(uniq)
+    columns = uniq.T.copy()  # one contiguous row per coordinate
 
     def run_block(u, m):
         """Rank the queries ``u`` from windows of ``m``; return those the window may not hold."""
         query = uniq[u]
         _, cand = tree.query(query, k=m)
-        cand = cand.reshape(len(u), m)
+        # one contiguous column per rank, so the checks across each row,
+        # here and in _rank, run down whole columns
+        cand = np.asfortranarray(cand.reshape(len(u), m))
         # Tree output selects candidates only; distances are recomputed from
         # the coordinates so values and tie order match a direct scan bit
-        # for bit.
-        d_cand = np.sqrt(((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1))
-        top_ids[u], top_d[u] = _rank(cand, d_cand, members, first, width, take)
+        # for bit. numpy adds fewer than 8 squared terms in turn, so they are
+        # added here one gathered column at a time, with no (len(u), m, d)
+        # difference array; it adds more pairwise, so a wider cloud keeps
+        # the broadcast formula.
+        if len(columns) < 8:
+            sq = (columns[0][cand] - query[:, :1]) ** 2
+            for j in range(1, len(columns)):
+                sq += (columns[j][cand] - query[:, j : j + 1]) ** 2
+        else:
+            sq = ((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1)
+        d_cand = np.sqrt(sq)
+        ids, dists = _rank(cand, d_cand, members, first, width, take)
+        top_ids[u], top_d[u] = ids, dists
         # A window provably holds every point at distance <= the (k+1)-th
         # selected distance only when its farthest candidate lies strictly
         # beyond it; otherwise distinct points tied at that distance may
         # lie outside the window.
-        return u[d_cand.max(axis=1) <= top_d[u, -1]]
+        return u[d_cand.max(axis=1) <= dists[:, -1]]
 
     workers = thread_cap()
     budget = _BLOCK * (take + _QUERY_PAD) * take
@@ -279,13 +301,21 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
         pending = np.concatenate(needy)
         m = min(n_uniq, 2 * m)
 
-    # Drop each row from its group's list, or the list's last entry when the
-    # row is not in it.
-    is_self = top_ids[inverse] == np.arange(n)[:, None]
-    self_pos = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
-    pick = np.arange(k) + (np.arange(k) >= self_pos[:, None])
-    group = inverse[:, None]
-    return NeighborLists(indices=top_ids[group, pick], distances=top_d[group, pick])
+    # A row whose group's list starts with the row itself (a row with no
+    # duplicate, or the lowest-index row of a group) drops that first entry.
+    indices = top_ids[inverse, 1:]
+    distances = top_d[inverse, 1:]
+    rest = np.flatnonzero(top_ids[inverse, 0] != np.arange(n))
+    if len(rest):
+        # Any other row drops itself from its group's list, or the list's
+        # last entry when the row is not in it.
+        group = inverse[rest, None]
+        is_self = top_ids[group[:, 0]] == rest[:, None]
+        self_pos = np.where(is_self.any(axis=1), is_self.argmax(axis=1), k)
+        pick = np.arange(k) + (np.arange(k) >= self_pos[:, None])
+        indices[rest] = top_ids[group, pick]
+        distances[rest] = top_d[group, pick]
+    return NeighborLists(indices=indices, distances=distances)
 
 
 def _rank(cand, d_cand, members, first, width, take):
@@ -293,10 +323,34 @@ def _rank(cand, d_cand, members, first, width, take):
 
     ``cand`` and ``d_cand`` hold one row of distinct candidate points per
     query; each candidate stands for the first ``width`` rows of its group.
+    A query whose candidates each stand for one row and already come in
+    (distance, index) order keeps its first ``take`` of them; only the other
+    queries go through ``_sort_rows``.
     """
+    ids = members[first[cand]]
     w = width[cand]
+    d_next, id_next = d_cand[:, 1:], ids[:, 1:]
+    in_order = (d_cand[:, :-1] < d_next) | ((d_cand[:, :-1] == d_next) & (ids[:, :-1] < id_next))
+    rest = np.flatnonzero(~(in_order.all(axis=1) & (w == 1).all(axis=1)))
+    if not len(rest):
+        return ids[:, :take], d_cand[:, :take]
+    sorted_ids, sorted_d = _sort_rows(cand[rest], d_cand[rest], ids[rest], w[rest], members, first, take)
+    if len(rest) == len(cand):
+        return sorted_ids, sorted_d
+    # some query kept its window, so every window holds >= take candidates
+    top_ids, top_d = ids[:, :take].copy(), d_cand[:, :take].copy()
+    top_ids[rest], top_d[rest] = sorted_ids, sorted_d
+    return top_ids, top_d
+
+
+def _sort_rows(cand, d_cand, ids, w, members, first, take):
+    """``_rank``'s answer for queries whose windows need sorting.
+
+    ``ids`` holds each candidate's lowest-index row and ``w`` the rows it
+    stands for.
+    """
     if (w == 1).all():
-        ids, dists = members[first[cand]], d_cand
+        dists = d_cand
     else:
         # Expand each candidate into its rows, one query per row of a
         # (queries, widest expansion) array padded with (inf, int64 max); a

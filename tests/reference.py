@@ -320,9 +320,11 @@ def ref_ingest_csv(path, variables=None, site=""):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: cannot decode: {exc}") from None
 
     header = [h.strip() for h in header]
     if len(header) < 2:

@@ -161,6 +161,28 @@ class TestIngest:
         )
         assert ingest_csv(path).timestamps.tolist() == [-2, -1, 0]
 
+    @pytest.mark.parametrize("stamp", [
+        "2017-03-12T01:00:00",
+        " 2017-03-12 01:00:00 ",
+        "2017-03-12T01:00:00Z",
+        "2017-03-12T01:00:00+10:00",
+        "2017-03-12T01:00:00-03:30",
+        "2017-03-12T01:00:00.999999",
+        "2017-03-12T01:00:00.500+10:00",
+        "1969-12-31T23:59:59.500000",
+        "1969-12-31T23:59:59.500000-00:00",
+        "1970-01-01T00:00:00",
+        "0001-01-01T00:00:00",
+        "0001-01-01T09:59:59+10:00",
+        "9999-12-31T23:59:59.999999",
+        "9999-12-31T23:59:59-10:00",
+        "2016-02-29",
+    ])
+    def test_parse_iso_matches_the_aware_formula(self, stamp):
+        # naive stamps are measured from a naive epoch, aware ones from the UTC epoch;
+        # the reference makes every stamp aware first
+        assert core._parse_iso(stamp) == ref._ref_parse_iso(stamp)
+
 
 def ingest_error(tmp_path, text, **kwargs):
     with pytest.raises(DataError) as info:
@@ -571,6 +593,7 @@ class TestPlainReader:
         path.write_bytes((self.HEAD + "\n".join(rows)).encode() + b"\n2017-03-14T00:00:00,\xe9,4,1\n")
         got, record_reader_ran = _spied_outcome(path, None)
         assert record_reader_ran
+        assert got == _outcome(ref.ref_ingest_csv, path, None, "reference")
         assert got[0][0] == "error"
         assert "cannot decode: 'utf-8' codec can't decode byte 0xe9" in got[0][1]
 

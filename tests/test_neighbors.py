@@ -104,6 +104,16 @@ class TestKnn:
             np.testing.assert_array_equal(nl.indices, ridx)
             np.testing.assert_array_equal(nl.distances, rdist)
 
+    @pytest.mark.parametrize("d", [7, 8, 12])
+    def test_matches_bruteforce_either_side_of_eight_coordinates(self, rng, d):
+        # numpy adds fewer than 8 squared terms in turn and more pairwise;
+        # the recomputed distances follow it on both sides
+        pts = rng.random((300, d))
+        nl = knn(PointCloud(pts), 10)
+        ridx, rdist = ref.ref_knn(pts, 10)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+
     def test_matches_bruteforce_with_many_duplicates(self, rng, cap):
         # heavy ties exercise the widened windows of rows tied at the edge
         base = rng.integers(0, 4, (80, 2)).astype(float)
@@ -226,6 +236,63 @@ class TestKnn:
         # _BLOCK x (k + 1 + _QUERY_PAD) x (k + 1)
         assert all(b == 1 or b * w * 4 * cap <= 5 * 4 * 4 for b, w in windows)
         assert (1, 32) in windows
+
+    def test_block_mixing_ordered_tied_and_piled_windows(self, rng, monkeypatch, cap):
+        # interleaved in the last coordinate, so the small blocks of distinct
+        # points mix three kinds of window: tie-free points the tree gives in
+        # order, a shuffled lattice whose equidistant rings the tree gives in
+        # its own order, not by row index, and the rows around a pile of 15
+        # coincident rows
+        monkeypatch.setattr(neighbors, "_BLOCK", 48)
+        lattice = np.stack(np.meshgrid(np.arange(5), np.arange(5)), axis=-1).reshape(-1, 2)
+        free = np.column_stack([rng.uniform(50, 60, 40), rng.uniform(0, 4, 40)])
+        pile = np.vstack([np.full((15, 2), [100.0, 2.5]), [100.0, 2.5] + rng.uniform(-1, 1, (6, 2))])
+        pts = np.vstack([lattice, free, pile]).astype(float)
+        pts = pts[rng.permutation(len(pts))]
+        kinds = []
+        rank = neighbors._rank
+
+        def spy(cand, d_cand, members, first, width, take):
+            ids = members[first[cand]]
+            d0, d1, i0, i1 = d_cand[:, :-1], d_cand[:, 1:], ids[:, :-1], ids[:, 1:]
+            kinds.append(set(np.select(
+                [(width[cand] > 1).any(axis=1), ((d0 == d1) & (i0 > i1)).any(axis=1), (d0 < d1).all(axis=1)],
+                ["piled", "tie by the wrong index", "in order"],
+                "other",
+            ).tolist()))
+            return rank(cand, d_cand, members, first, width, take)
+
+        monkeypatch.setattr(neighbors, "_rank", spy)
+        nl = knn(PointCloud(pts), 4)
+        ridx, rdist = ref.ref_knn(pts, 4)
+        np.testing.assert_array_equal(nl.indices, ridx)
+        np.testing.assert_array_equal(nl.distances, rdist)
+        assert len(kinds) > 1
+        assert any({"piled", "tie by the wrong index", "in order"} <= block for block in kinds)
+
+    def test_sort_path_gets_only_the_windows_that_need_it(self, rng):
+        # a query is sorted only when a candidate stands for several rows or
+        # the tree gave two candidates out of (distance, index) order
+        needed, sorted_rows = [], []
+        rank, sort_rows = neighbors._rank, neighbors._sort_rows
+
+        def rank_spy(cand, d_cand, members, first, width, take):
+            ids = members[first[cand]]
+            d0, d1 = d_cand[:, :-1], d_cand[:, 1:]
+            out_of_order = (d0 > d1) | ((d0 == d1) & (ids[:, :-1] > ids[:, 1:]))
+            needed.append(int(((width[cand] > 1).any(axis=1) | out_of_order.any(axis=1)).sum()))
+            return rank(cand, d_cand, members, first, width, take)
+
+        def sort_spy(cand, *args):
+            sorted_rows.append(len(cand))
+            return sort_rows(cand, *args)
+
+        pts = rng.random((2000, 3))
+        pts[1990:] = pts[:10]  # ten pairs of coincident rows among 1,990 distinct points
+        with mock.patch.object(neighbors, "_rank", rank_spy), \
+                mock.patch.object(neighbors, "_sort_rows", sort_spy):
+            knn(PointCloud(pts), 10)
+        assert 0 < sum(sorted_rows) == sum(needed) < 200
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -186,7 +186,7 @@ def ground_truth(ms: MultiSeries) -> GroundTruthVector:
         if s.labels is None:
             raise DataError(f"variable {s.name!r} carries no labels")
         flags |= s.labels.astype(bool)
-    return GroundTruthVector(ms.timestamps.copy(), flags)
+    return GroundTruthVector(ms.timestamps, flags)
 
 
 # ---------------------------------------------------------------------------

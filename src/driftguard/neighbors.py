@@ -30,6 +30,11 @@ Leader clustering follows the same contract: one tree over the cloud, one
 ball query per exemplar, and each candidate's distance recomputed from the
 coordinates, so the clusters are those of a direct single pass.
 
+Every distance here and in the COF, LDOF and RKOF scorers comes from
+``_sq_distances``, which equals the references' ``((a - b) ** 2).sum(axis=-1)``
+bit for bit at every width. It reads points coordinate-major, so kNN gathers
+one coordinate column at a time.
+
 scipy's kd-tree is imported by the first ``knn`` or ``leader`` call, so a
 command that builds no tree does not pay for the import.
 """
@@ -140,8 +145,7 @@ class PointCloud:
     @cached_property
     def diameter_bound(self) -> float:
         """Cheap upper bound on the cloud diameter (bounding-box diagonal)."""
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.sqrt((span**2).sum()))
+        return float(np.sqrt(_sq_distances(self.points.max(axis=0), self.points.min(axis=0))))
 
     def neighbors(self, k: int) -> "NeighborLists":
         """``knn(self, k)``, built on the first call and kept."""
@@ -266,18 +270,9 @@ def knn(cloud: PointCloud, k: int) -> NeighborLists:
         # here and in _rank, run down whole columns
         cand = np.asfortranarray(cand.reshape(len(u), m))
         # Tree output selects candidates only; distances are recomputed from
-        # the coordinates so values and tie order match a direct scan bit
-        # for bit. numpy adds fewer than 8 squared terms in turn, so they are
-        # added here one gathered column at a time, with no (len(u), m, d)
-        # difference array; it adds more pairwise, so a wider cloud keeps
-        # the broadcast formula.
-        if len(columns) < 8:
-            sq = (columns[0][cand] - query[:, :1]) ** 2
-            for j in range(1, len(columns)):
-                sq += (columns[j][cand] - query[:, j : j + 1]) ** 2
-        else:
-            sq = ((uniq[cand] - query[:, None, :]) ** 2).sum(axis=-1)
-        d_cand = np.sqrt(sq)
+        # the coordinates, gathered one column at a time, so values and tie
+        # order match a direct scan bit for bit.
+        d_cand = np.sqrt(_sq_distances([col[cand] for col in columns], query.T[:, :, None]))
         ids, dists = _rank(cand, d_cand, members, first, width, take)
         top_ids[u], top_d[u] = ids, dists
         # A window provably holds every point at distance <= the (k+1)-th
@@ -334,7 +329,7 @@ def _rank(cand, d_cand, members, first, width, take):
     rest = np.flatnonzero(~(in_order.all(axis=1) & (w == 1).all(axis=1)))
     if not len(rest):
         return ids[:, :take], d_cand[:, :take]
-    sorted_ids, sorted_d = _sort_rows(cand[rest], d_cand[rest], ids[rest], w[rest], members, first, take)
+    sorted_ids, sorted_d = _sort_rows(cand[rest], d_cand[rest], w[rest], members, first, take)
     if len(rest) == len(cand):
         return sorted_ids, sorted_d
     # some query kept its window, so every window holds >= take candidates
@@ -343,54 +338,57 @@ def _rank(cand, d_cand, members, first, width, take):
     return top_ids, top_d
 
 
-def _sort_rows(cand, d_cand, ids, w, members, first, take):
+def _sort_rows(cand, d_cand, w, members, first, take):
     """``_rank``'s answer for queries whose windows need sorting.
 
-    ``ids`` holds each candidate's lowest-index row and ``w`` the rows it
-    stands for.
+    Each candidate is expanded into the ``w`` rows it stands for, one query per
+    row of a (queries, widest expansion) array padded with (inf, int64 max); a
+    query holds >= take rows (>= take distinct points, or all n rows), so
+    padding never ranks.
     """
-    if (w == 1).all():
-        dists = d_cand
-    else:
-        # Expand each candidate into its rows, one query per row of a
-        # (queries, widest expansion) array padded with (inf, int64 max); a
-        # query holds >= take rows (>= take distinct points, or all n rows),
-        # so padding never ranks.
-        sizes = w.sum(axis=1)
-        w = w.ravel()
-        rows = np.repeat(np.arange(len(cand)), sizes)
-        cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        offset = np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
-        ids = np.full((len(cand), sizes.max()), np.iinfo(np.int64).max, dtype=np.int64)
-        dists = np.full(ids.shape, np.inf)
-        ids[rows, cols] = members[np.repeat(first[cand.ravel()], w) + offset]
-        dists[rows, cols] = np.repeat(d_cand.ravel(), w)
+    sizes = w.sum(axis=1)
+    w = w.ravel()
+    rows = np.repeat(np.arange(len(cand)), sizes)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offset = np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
+    ids = np.full((len(cand), sizes.max()), np.iinfo(np.int64).max, dtype=np.int64)
+    dists = np.full(ids.shape, np.inf)
+    ids[rows, cols] = members[np.repeat(first[cand.ravel()], w) + offset]
+    dists[rows, cols] = np.repeat(d_cand.ravel(), w)
     order = np.lexsort((ids, dists), axis=1)[:, :take]
     return np.take_along_axis(ids, order, axis=1), np.take_along_axis(dists, order, axis=1)
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances of broadcast point arrays, added one coordinate at a time.
+def _sq_distances(a, b) -> np.ndarray:
+    """Squared distances between points given coordinate-major: ``a[j]`` and ``b[j]`` broadcast.
 
-    No (..., d) difference array; bit-equal to ((a - b) ** 2).sum(axis=-1) for d <= 7.
+    Bit-equal at every width d = len(a) to ``((A - B) ** 2).sum(axis=-1)`` on
+    the point-major arrays A and B. numpy adds fewer than 8 terms in turn, so
+    below 8 coordinates the squares are added one coordinate at a time, with
+    no (..., d) array; it adds 8 or more pairwise, so from 8 on the formula
+    runs as it is, on a (..., d) difference array laid out as A - B is.
     """
-    total = (a[..., 0] - b[..., 0]) ** 2
-    for j in range(1, a.shape[-1]):
-        total += (a[..., j] - b[..., j]) ** 2
+    d = len(a)
+    if d >= 8:
+        return (np.stack([a[j] - b[j] for j in range(d)], axis=-1) ** 2).sum(axis=-1)
+    total = (a[0] - b[0]) ** 2
+    for j in range(1, d):
+        total += (a[j] - b[j]) ** 2
     return total
 
 
 def hood_map(cloud: PointCloud, nl: NeighborLists, reduce) -> np.ndarray:
     """One number per point from its neighborhood, read-only, shape (n,).
 
-    ``reduce`` maps ``_HOOD_ROWS`` or fewer neighborhoods, (rows, k+1, d) with
-    each point first and then its neighbors in ``nl`` order, to one number a row.
+    ``reduce`` maps ``_HOOD_ROWS`` or fewer neighborhoods, coordinate-major
+    (d, rows, k+1) with each point first and then its neighbors in ``nl``
+    order, to one number a row.
     """
     out = np.empty(len(cloud))
     for lo in range(0, len(out), _HOOD_ROWS):
         part = nl.indices[lo : lo + _HOOD_ROWS]
         hood = np.column_stack([np.arange(lo, lo + len(part)), part])  # (rows, k+1)
-        out[lo : lo + len(part)] = reduce(cloud.points[hood])
+        out[lo : lo + len(part)] = reduce(cloud.points.T[:, hood])
     out.flags.writeable = False  # shared by every scorer and thread on the cloud
     return out
 
@@ -420,7 +418,7 @@ def leader(cloud: PointCloud, radius: float) -> LeaderClustering:
     while i < n:
         ball = np.asarray(tree.query_ball_point(pts[i], reach), dtype=np.int64)
         ball = ball[uncovered[ball]]
-        d = np.sqrt(((pts[ball] - pts[i]) ** 2).sum(axis=-1))
+        d = np.sqrt(_sq_distances(pts[ball].T, pts[i]))
         hit = ball[d <= radius]
         assignment[hit] = len(exemplars)
         uncovered[hit] = False

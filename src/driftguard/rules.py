@@ -94,7 +94,7 @@ def apply_rules(ms: MultiSeries, cfg: RuleConfig) -> tuple[RuleFlags, MultiSerie
 
     flags = RuleFlags(
         variables=ms.variables,
-        timestamps=ms.timestamps.copy(),
+        timestamps=ms.timestamps,
         out_of_range=oor,
         negative=neg,
         missing_gap=gap,

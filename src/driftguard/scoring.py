@@ -178,8 +178,8 @@ def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
 
 
 def _chain_dists(hood: np.ndarray) -> np.ndarray:
-    """COF's ``hood_values`` reduce: average chaining distances of (rows, k+1, d) neighborhoods."""
-    return _avg_chain_dists(np.sqrt(_sq_distances(hood[:, :, None], hood[:, None])))
+    """COF's ``hood_values`` reduce: average chaining distances of (d, rows, k+1) neighborhoods."""
+    return _avg_chain_dists(np.sqrt(_sq_distances(hood[..., None], hood[:, :, None])))
 
 
 def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
@@ -225,7 +225,7 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
 
 def _pair_sums(hood: np.ndarray) -> np.ndarray:
     """LDOF's ``hood_values`` reduce: each row's (k, k) neighbor distances, summed."""
-    return np.sqrt(_sq_distances(hood[:, 1:, None], hood[:, None, 1:])).sum(axis=(1, 2))
+    return np.sqrt(_sq_distances(hood[:, :, 1:, None], hood[:, :, None, 1:])).sum(axis=(1, 2))
 
 
 def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
@@ -261,7 +261,7 @@ def score_rkof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
     h_floor = _density_floor(cloud)
     h = np.maximum(cfg.rkof_bandwidth_scale * kdist**cfg.rkof_bandwidth_exponent, h_floor)
 
-    r2 = _sq_distances(cloud.points[:, None], cloud.points[nl.indices])
+    r2 = _sq_distances(cloud.points.T[..., None], cloud.points.T[:, nl.indices])
     hn = h[nl.indices]
     norm = (2.0 * np.pi) ** (d / 2.0) * hn**d
     kde = (np.exp(-r2 / (2.0 * hn**2)) / norm).mean(axis=1)

@@ -212,7 +212,7 @@ def build_matrix(
     return TransformedMatrix(
         kind=kind,
         variables=names,
-        timestamps=ms.timestamps.copy(),
+        timestamps=ms.timestamps,
         values=values,
         row_index=row_index,
         sides=side_map,

@@ -20,8 +20,12 @@ from driftguard import (
     DataError,
     FaultSpec,
     MultiSeries,
+    RuleConfig,
     SensorSeries,
     SynthConfig,
+    TransformKind,
+    apply_rules,
+    build_matrix,
     emit_csv,
     ground_truth,
     ingest_csv,
@@ -815,6 +819,10 @@ class TestOwnedArrays:
         assert cleaned.timestamps is ts and cleaned.labels is turbidity.labels
         with mock.patch.object(np, "array_equal", side_effect=AssertionError("compared")):
             assert MultiSeries("site", (cleaned, ms.get("level"))).timestamps is ts
+        # so do the ground truth, the rule flags and the transformed matrix
+        assert ground_truth(MultiSeries("site", (turbidity,))).timestamps is ts
+        assert apply_rules(ms, RuleConfig(ranges={}))[0].timestamps is ts
+        assert build_matrix(ms, TransformKind.ORIGINAL).timestamps is ts
 
     def test_a_callers_writeable_array_is_copied_and_never_frozen(self):
         ts = np.array([0, 60, 120], dtype=np.int64)

@@ -404,6 +404,16 @@ class TestLeader:
         pts = np.vstack([grid, grid[rng.integers(0, 64, 40)]])[rng.permutation(104)]
         self.assert_matches_reference(pts, radius)
 
+    @pytest.mark.parametrize("d", [7, 8, 12])
+    def test_matches_reference_either_side_of_eight_coordinates(self, rng, d):
+        # numpy adds fewer than 8 squared terms in turn and more pairwise;
+        # the exact check follows it on both sides. Each radius is a distance
+        # from the first exemplar, point 0, so a last-bit slip moves a point.
+        pts = rng.random((300, d))
+        for radius in np.sort(ref.distance_matrix(pts)[0])[10:110:5]:
+            lc = self.assert_matches_reference(pts, radius)
+            assert 1 < len(lc.exemplars) < 300
+
     def test_every_row_identical(self):
         lc = self.assert_matches_reference(np.full((40, 3), 0.25), 0.1)
         np.testing.assert_array_equal(lc.exemplars, [0])
@@ -568,20 +578,31 @@ class TestHoodValues:
     @settings(max_examples=100, deadline=None)
     def test_values_are_the_formulas_on_a_whole_block(self, data):
         # rows from a small pool plus a one-sided origin cluster, so
-        # neighborhoods hold exact duplicates, zeros and -0.0
-        d = data.draw(st.integers(min_value=1, max_value=7))
+        # neighborhoods hold exact duplicates, zeros and -0.0; numpy adds
+        # fewer than 8 coordinates in turn and more pairwise
+        d = data.draw(st.integers(min_value=1, max_value=12))
         n = data.draw(st.integers(min_value=2, max_value=40))
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
         coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
-        pool = data.draw(arrays(np.float64, (4, d), elements=coords))
+        pool = data.draw(arrays(np.float64, (4, d), elements=coords, fill=st.nothing()))
         pool[0] = 0.0
         pick = data.draw(arrays(np.int64, (n,), elements=st.integers(0, 3)))
         rows = data.draw(st.integers(min_value=1, max_value=n))  # built this many at a time
         cloud = PointCloud(pool[pick])
         with mock.patch.object(neighbors, "_HOOD_ROWS", rows):
-            chain = cloud.hood_values("cof", k, _chain_dists)
-            pair_sums = cloud.hood_values("ldof", k, _pair_sums)
+            self.assert_values_are_the_formulas(cloud, k)
+
+    @pytest.mark.parametrize("d", [7, 8, 12])
+    def test_values_are_the_formulas_either_side_of_eight_coordinates(self, rng, d):
+        # random coordinates, so the sums' last bits show on both sides
+        self.assert_values_are_the_formulas(normalize(np.maximum(rng.normal(size=(300, d)), 0.0)), 10)
+
+    @staticmethod
+    def assert_values_are_the_formulas(cloud, k):
+        chain = cloud.hood_values("cof", k, _chain_dists)
+        pair_sums = cloud.hood_values("ldof", k, _pair_sums)
         # every neighborhood's distances at once, as one (n, k+1, k+1) array
+        n = len(cloud)
         hood = cloud.points[np.column_stack([np.arange(n), cloud.neighbors(k).indices])]
         block = np.sqrt(((hood[:, :, None] - hood[:, None]) ** 2).sum(-1))
         corner = np.ascontiguousarray(block[:, 1:, 1:])

@@ -101,20 +101,24 @@ def test_config_allows_infinite_weight_sigma():
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_sq_distances_bit_equal_to_summed_squares(data):
-    # numpy adds fewer than 8 terms in order, as _sq_distances does; rows are
+    # numpy adds fewer than 8 terms in order and 8 or more pairwise; rows are
     # drawn from a small pool so neighborhoods repeat rows, zeros and -0.0
-    d = data.draw(st.integers(min_value=1, max_value=7))
+    d = data.draw(st.integers(min_value=1, max_value=12))
     n = data.draw(st.integers(min_value=1, max_value=5))
     m = data.draw(st.integers(min_value=1, max_value=6))
     coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
-    pool = data.draw(arrays(np.float64, (4, d), elements=coords))
+    pool = data.draw(arrays(np.float64, (4, d), elements=coords, fill=st.nothing()))
     pick = data.draw(arrays(np.int64, (n, m + 1), elements=st.integers(0, 3)))
     own, hood = pool[pick[:, 0]], pool[pick[:, 1:]]  # (n, d), (n, m, d)
     for a, b in [(hood[:, :, None], hood[:, None]), (own[:, None], hood)]:
-        got = _sq_distances(a, b)
         want = ((a - b) ** 2).sum(axis=-1)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        # coordinate-major views of the point-major arrays, and one
+        # contiguous copy per coordinate as knn gathers them
+        cols_a, cols_b = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+        for ops in [(cols_a, cols_b), (list(cols_a.copy()), cols_b)]:
+            got = _sq_distances(*ops)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("method", [Method.COF, Method.LDOF], ids=lambda m: m.value)

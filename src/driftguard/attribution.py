@@ -46,17 +46,37 @@ class Detection:
     note: str = ""
 
 
+def _median_rows(rows: np.ndarray) -> np.ndarray:
+    """Median of each row of a contiguous (d, m) array, reordering ``rows`` in place.
+
+    One partition at the middle pair (m//2 - 1, m//2), or the middle of an
+    odd row, then the pair's mean as ``np.median`` takes it: (a + b) / 2.
+    """
+    half, odd = divmod(rows.shape[1], 2)
+    rows.partition([half] if odd else [half - 1, half], axis=1)
+    return rows[:, half].copy() if odd else (rows[:, half - 1] + rows[:, half]) / 2
+
+
 def typical_center(typical_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension median and robust scale of the typical points.
+    """Per-dimension median and robust scale of the (m, d) typical points.
 
     Scale is the MAD; one-sided transforms clip more than half a column to
     zero and collapse the MAD, so a zero MAD falls back to the mean absolute
     deviation before the epsilon floor.
+
+    Both medians partition one contiguous copy of the columns, so they equal
+    ``np.median(axis=0)``'s values; only a zero median's sign may differ,
+    which no deviation |x - median| sees. The fallback is taken only where a
+    MAD is zero, and on the row-major points, so it adds in the order
+    ``mean(axis=0)`` does.
     """
-    med = np.median(typical_points, axis=0)
-    abs_dev = np.abs(typical_points - med)
-    mad = np.median(abs_dev, axis=0)
-    return med, np.where(mad > 0, mad, abs_dev.mean(axis=0))
+    cols = typical_points.T.copy()
+    med = _median_rows(cols)
+    abs_dev = np.abs(np.subtract(cols, med[:, None], out=cols), out=cols)
+    mad = _median_rows(abs_dev)
+    if (mad > 0).all():
+        return med, mad
+    return med, np.where(mad > 0, mad, np.abs(typical_points - med).mean(axis=0))
 
 
 def _trios(values: np.ndarray, at: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -103,7 +123,7 @@ def locate_flags(tm: TransformedMatrix, ms: MultiSeries, evt_flags: np.ndarray) 
     if flagged.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return FlagLocations(flagged, empty, empty, empty, np.empty((0, tm.points.shape[1])))
-    typical = tm.points[~evt_flags]
+    typical = tm.points.compress(~evt_flags, axis=0)  # compress copies rows faster than a mask
     med, scale = typical_center(typical if len(typical) else tm.points)
     dev = np.abs(tm.points[flagged] - med) / (scale + MAD_EPS)
     col = np.argmax(dev, axis=1)  # ties break by variable order

@@ -269,6 +269,23 @@ def _plain_pieces(data: bytes):
         yield piece + text.readline()
 
 
+def _may_have_blank_cells(data: bytes) -> bool:
+    """False when no comma of the file is followed by a comma, a line end or the file's end.
+
+    One numpy pass over each ``_PLAIN_CHARS`` bytes: a search of the text
+    for ",," or ",\\n" stops at every comma, and takes longer than the
+    blank-cell substitution it would skip. A comma before any byte below
+    "-" counts, so a space or a sign after a comma costs only that
+    substitution.
+    """
+    codes = np.frombuffer(data, np.uint8)
+    for lo in range(0, len(codes), _PLAIN_CHARS):
+        part = codes[lo : lo + _PLAIN_CHARS + 1]
+        if ((part[:-1] == ord(",")) & (part[1:] < ord("-"))).any():
+            return True
+    return data.endswith(b",")
+
+
 def _plain_labels(cells: np.ndarray) -> np.ndarray | None:
     """Label codes of cells the C reader read, or None where the record reader could differ."""
     ones = cells == "1"
@@ -299,6 +316,7 @@ def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: lis
     """
     if b'"' in data or b"\0" in data:  # before decoding: a quoted file costs next to nothing
         return None
+    blanks = _may_have_blank_cells(data)
     index = {name: i for i, name in enumerate(header)}
     kinds = ["U1"] * len(header)  # the stamp, parsed apart, and every cell no one reads
     for v in wanted:
@@ -315,7 +333,9 @@ def _read_plain(data: bytes, header: list[str], wanted: list[str], labelled: lis
             # a search for "+" alone is one memchr, many times faster than the search for _BLANK
             if "+" in piece and _BLANK in piece:
                 return None
-            lines = _BLANK_AFTER_COMMA.sub("," + _BLANK, piece).split("\n")
+            if blanks:
+                piece = _BLANK_AFTER_COMMA.sub("," + _BLANK, piece)
+            lines = piece.split("\n")
             lines = list(filter(str.strip, lines))  # the record reader skips blank lines
             if not lines:
                 continue

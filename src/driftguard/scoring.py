@@ -7,7 +7,8 @@ All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and hands the seven kNN scorers the cloud's kept neighbor
 lists, ``cloud.neighbors(k)``; those scorers are formulas over the lists.
 COF and LDOF also read one kept number per point, ``cloud.hood_values``.
-HDoutliers takes the cloud's kept Leader clustering, ``cloud.clusters``.
+HDoutliers reads the cloud's kept Leader clustering, ``cloud.clusters``, and
+its exemplars' kept nearest-exemplar distances, ``cloud.exemplar_distances``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .neighbors import LeaderClustering, NeighborLists, PointCloud, _sq_distances, knn
+from .neighbors import NeighborLists, PointCloud, _sq_distances
 
 
 class Method(str, Enum):
@@ -107,21 +108,20 @@ def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:
     return (f"{int(bad.sum())} {what}",)
 
 
-def score_hdoutliers(cloud: PointCloud, clustering: LeaderClustering) -> ScoreVector:
+def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Exemplar nearest-neighbor distance, inherited by every cluster member.
 
-    Computes each exemplar's distance to its nearest fellow exemplar in the
-    cloud's Leader clustering and assigns that distance to all members.
+    Reads the cloud's kept Leader clustering and its exemplars' distances to
+    their nearest fellow exemplars, ``cloud.exemplar_distances``; every
+    member scores its exemplar's distance.
     """
-    ex = clustering.exemplars
-    notes = ()
-    if len(ex) < 2:
-        ex_scores = np.zeros(len(ex))
-        notes = ("single leader cluster: all scores 0",)
-    else:
-        sub = PointCloud(points=cloud.points[ex])
-        ex_scores = knn(sub, 1).distances[:, 0]
-    return ScoreVector(ex_scores[clustering.assignment], Method.HDOUTLIERS, notes)
+    clustering = cloud.clusters(cfg.leader_radius)
+    if len(clustering.exemplars) < 2:
+        return ScoreVector(
+            np.zeros(len(cloud)), Method.HDOUTLIERS, ("single leader cluster: all scores 0",)
+        )
+    ex_scores = cloud.exemplar_distances(cfg.leader_radius)
+    return ScoreVector(ex_scores[clustering.assignment], Method.HDOUTLIERS)
 
 
 def score_knn_sum(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
@@ -204,21 +204,21 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
     den = 1.0 / np.maximum(kdist, _density_floor(cloud))
 
     # influence edges p -> o: o in kNN(p), plus o with p in kNN(o); encoded as
-    # p * n + o. A kNN list holds distinct points, so the forward keys are
-    # distinct; a reverse key o * n + p is added only when p is not in kNN(o),
-    # so no key repeats. Sorting the keys makes bincount add each owner's
-    # densities in ascending member order, which fixes the sums' last bit.
+    # p * n + o, in both directions, sorted once with each repeat dropped, so
+    # every edge is one key. Owner p's keys lie in [p * n, (p + 1) * n), and
+    # bincount adds each owner's densities in ascending member order, which
+    # fixes the sums' last bit.
     src = np.repeat(np.arange(n, dtype=np.int64), cfg.k)
     dst = nl.indices.ravel()
-    rev = np.ones(len(dst), dtype=bool)
-    for j in range(cfg.k):
-        rev &= nl.indices[dst, j] != src
-    keys = np.concatenate([src * n + dst, dst[rev] * n + src[rev]])
+    keys = np.concatenate([src * n + dst, dst * n + src])
     keys.sort()
-    owners = keys // n
-    members = keys % n
-    sums = np.bincount(owners, weights=den[members], minlength=n)
-    counts = np.bincount(owners, minlength=n)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys.compress(keep)  # compress copies faster than a mask index
+    counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n))
+    owners = np.repeat(np.arange(n, dtype=np.int64), counts)
+    sums = np.bincount(owners, weights=den[keys - owners * n], minlength=n)
 
     return ScoreVector(sums / counts / den, Method.INFLO)
 
@@ -261,10 +261,12 @@ def score_rkof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Scor
     h_floor = _density_floor(cloud)
     h = np.maximum(cfg.rkof_bandwidth_scale * kdist**cfg.rkof_bandwidth_exponent, h_floor)
 
-    r2 = _sq_distances(cloud.points.T[..., None], cloud.points.T[:, nl.indices])
-    hn = h[nl.indices]
-    norm = (2.0 * np.pi) ** (d / 2.0) * hn**d
-    kde = (np.exp(-r2 / (2.0 * hn**2)) / norm).mean(axis=1)
+    # neighbor coordinates gathered from one contiguous row per coordinate,
+    # and each bandwidth's powers taken once per point, then gathered
+    columns = cloud.points.T.copy()
+    r2 = _sq_distances(columns[..., None], [col[nl.indices] for col in columns])
+    norm = ((2.0 * np.pi) ** (d / 2.0) * h**d)[nl.indices]
+    kde = (np.exp(-r2 / (2.0 * h**2)[nl.indices]) / norm).mean(axis=1)
 
     kd_nbr = kdist[nl.indices]
     ref = np.maximum(kd_nbr.min(axis=1), h_floor)
@@ -292,7 +294,7 @@ _KNN_SCORERS = {
 def kept_reads(method: Method) -> tuple[str, ...]:
     """The kinds of kept build (``PointCloud.build_ms``) ``score`` reads for ``method``."""
     if method is Method.HDOUTLIERS:
-        return ("leader",)
+        return ("leader", "exemplar_knn")
     if method in (Method.COF, Method.LDOF):
         return ("knn", method.value.lower())
     return ("knn",)
@@ -302,11 +304,12 @@ def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Run the configured scorer on a (normalized) point cloud.
 
     Checks the cloud once. The kNN scorers read ``cloud.neighbors(cfg.k)``,
-    which refuses k >= n; HDoutliers reads ``cloud.clusters(cfg.leader_radius)``.
-    Either is built on the cloud's first call and kept for every later one.
+    which refuses k >= n; HDoutliers reads ``cloud.clusters(cfg.leader_radius)``
+    and ``cloud.exemplar_distances(cfg.leader_radius)``. Each is built on the
+    cloud's first call and kept for every later one.
     """
     if len(cloud) < 2:
         raise DataError("scoring needs at least 2 points")
     if cfg.method is Method.HDOUTLIERS:
-        return score_hdoutliers(cloud, cloud.clusters(cfg.leader_radius))
+        return score_hdoutliers(cloud, cfg)
     return _KNN_SCORERS[cfg.method](cloud, cloud.neighbors(cfg.k), cfg)

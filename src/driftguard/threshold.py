@@ -104,14 +104,16 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
     # a pure function of the sorted scores and can be computed up front.
     # tail_count leading zero spacings let a typical set with fewer spacings
     # than the window average over the i - 1 it has.
+    # Candidates are m0 .. n - 1, so their windows and typical maxima are
+    # the slices that start at m0 - 1.
     candidates = np.arange(m0, n)
     gaps = np.concatenate([np.zeros(tail_count), np.diff(ss)])
     kernel = np.arange(tail_count + 1, 1, -1, dtype=np.float64)  # window position 0 = D_tc
-    windows = np.lib.stride_tricks.sliding_window_view(gaps, tail_count)
-    ghat = windows[candidates - 1] @ kernel / np.minimum(tail_count, candidates - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(gaps, tail_count)[m0 - 1 : n - 1]
+    ghat = np.ascontiguousarray(windows) @ kernel / np.minimum(tail_count, candidates - 1)
 
-    cutoffs = ss[candidates - 1] + log_alpha * ghat
-    exceed = ss[candidates] > cutoffs
+    cutoffs = ss[m0 - 1 : n - 1] + log_alpha * ghat
+    exceed = ss[m0:] > cutoffs
     hit = int(np.argmax(exceed)) if exceed.any() else None
     stop_at = int(candidates[hit]) if hit is not None else None
     last = hit + 1 if hit is not None else len(candidates)
@@ -126,7 +128,7 @@ def evt_flag(scores, cfg: ThresholdConfig = ThresholdConfig()) -> tuple[np.ndarr
         initial_fraction=cfg.initial_fraction,
         effective_tail_count=tail_count,
         n=n,
-        tested_scores=ss[candidates[:last]].copy(),
+        tested_scores=ss[m0 : m0 + last].copy(),
         cutoffs=cutoffs[:last].copy(),
         spacing_scales=ghat[:last].copy(),
         decisions=("absorb",) * (last - len(stops)) + stops,
@@ -157,11 +159,11 @@ def combine_flags(
         pred |= rule_flags.any_at_timestamp
     if not isinstance(outlier_timestamps, np.ndarray):
         outlier_timestamps = np.fromiter(outlier_timestamps, dtype=np.int64)
-    wanted = np.unique(outlier_timestamps.astype(np.int64, copy=False))
+    # repeated and unsorted timestamps need no np.unique: each is looked up on its own
+    wanted = outlier_timestamps.astype(np.int64, copy=False)
     if wanted.size:
         pos = np.searchsorted(timestamps, wanted)
-        ok = (pos < n) & (timestamps[np.minimum(pos, n - 1)] == wanted)
-        if not ok.all():
+        if not (timestamps[np.minimum(pos, n - 1)] == wanted).all():
             raise DataError("detection timestamp not present in the series")
-        pred[pos[ok]] = True
+        pred[pos] = True
     return pred

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import reference as ref
 from driftguard import (
@@ -18,7 +19,7 @@ from driftguard import (
     run_detection,
     write_detections_csv,
 )
-from driftguard.attribution import DROP, INDETERMINATE, SHIFT, SPIKE
+from driftguard.attribution import DROP, INDETERMINATE, SHIFT, SPIKE, typical_center
 from driftguard.pipeline import _rule_detections
 
 from conftest import make_multiseries
@@ -153,6 +154,38 @@ class TestCorrectNeighbor:
         assert det.timestamp == timestamp_of(5, 10)
         assert det.corrected_from is None
         assert det.note == "no candidate has a two-sided neighborhood; missing neighbor value"
+
+
+class TestTypicalCenter:
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("shape", ["spread", "equal columns", "one-sided piles"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_reference(self, odd, shape, data):
+        half = data.draw(st.integers(min_value=0 if odd else 1, max_value=40), label="half")
+        m, d = 2 * half + odd, data.draw(st.integers(min_value=1, max_value=9), label="d")
+        pts = data.draw(
+            arrays(np.float64, (m, d), elements=st.floats(-1e3, 1e3), fill=st.nothing()), label="pts"
+        )
+        if shape == "equal columns":
+            pts[:] = pts[0]
+        elif shape == "one-sided piles":
+            # more than half of every column at zero, either sign, and the rest >= 0
+            zeros = data.draw(st.integers(min_value=m // 2 + 1, max_value=m), label="zeros")
+            order = np.asarray(data.draw(st.permutations(range(m)), label="order"))
+            pts = np.abs(pts)
+            for j in range(d):
+                pts[np.roll(order, j)[:zeros], j] = 0.0
+            pts[pts == 0] *= data.draw(st.sampled_from([1.0, -1.0]), label="zero sign")
+        before = pts.copy()
+        med, scale = typical_center(pts)
+        want_med, want_scale = ref._ref_typical_center(pts)
+        assert scale.tobytes() == want_scale.tobytes()
+        # a zero median's sign is the partition's pick among equal values, and
+        # no deviation sees it: |x - 0.0| and |x - -0.0| are the same bits
+        assert (med + 0.0).tobytes() == (want_med + 0.0).tobytes()
+        assert np.abs(pts - med).tobytes() == np.abs(pts - want_med).tobytes()
+        assert pts.tobytes() == before.tobytes()
 
 
 def assert_matches_reference(tm, ms, flags, scores):

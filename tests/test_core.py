@@ -566,6 +566,34 @@ class TestPlainReader:
         assert got == _outcome(ref.ref_ingest_csv, path, None, "reference")
         assert not record_reader_ran
 
+    # one kind of blank cell a file: a comma before a comma, before a line end, or last
+    ONE_BLANK = {
+        "mid-line": HEAD + ROW1 + "2017-03-12T01:00:00,,4,1\n",
+        "at a line end": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,\n" + "2017-03-12T02:00:00,5,6,1\n",
+        "as the last byte, no final newline": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,",
+        "none": HEAD + ROW1 + "2017-03-12T01:00:00,3,4,1",
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_BLANK))
+    def test_blank_cells_read_as_the_reference_and_only_they_take_the_substitution(
+        self, tmp_path, case
+    ):
+        path = write(tmp_path, self.ONE_BLANK[case])
+        blanks = mock.Mock(wraps=core._BLANK_AFTER_COMMA)
+        with mock.patch.object(core, "_BLANK_AFTER_COMMA", blanks):
+            got, record_reader_ran = _spied_outcome(path, None)
+        assert got == _outcome(ref.ref_ingest_csv, path, None, "reference")
+        assert not record_reader_ran
+        assert blanks.sub.called == (case != "none")
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 1 << 18])
+    def test_blank_cell_search_spans_its_chunks(self, chars):
+        with mock.patch.object(core, "_PLAIN_CHARS", chars):
+            for text in [b"a,,b\n", b"ab,,\n", b"a,b,\n", b"a,b,\r\n", b"a,b,\rc", b"a,b,"]:
+                assert core._may_have_blank_cells(text), text
+            for text in [b"a,b\n", b"a,b\r\nc,d", b""]:
+                assert not core._may_have_blank_cells(text), text
+
     def test_undecodable_and_oversized_files_keep_their_messages(self, tmp_path):
         # past the first block the header read decodes, so the header checks pass
         stamps = np.arange(EPOCH_2017, EPOCH_2017 + 60 * 500, 60).astype("datetime64[s]")

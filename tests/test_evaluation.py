@@ -180,13 +180,15 @@ class TestGrid:
         assert sum(n in full for n in sizes) == 6
 
     def test_knn_combos_time_the_clouds_knn(self, labeled_synth, monkeypatch):
-        # min_t/mu_t/max_t add the group's one knn to its kNN methods only
+        # min_t/mu_t/max_t add the group's one knn to its kNN methods only;
+        # HDoutliers' k = 1 kNN over its exemplars is not the cloud's lists
         from driftguard import neighbors
 
         real_knn = neighbors.knn
 
         def slow_knn(cloud, k):
-            time.sleep(0.2)
+            if k == ScoringConfig().k:
+                time.sleep(0.2)
             return real_knn(cloud, k)
 
         monkeypatch.setattr(neighbors, "knn", slow_knn)
@@ -198,6 +200,29 @@ class TestGrid:
         }
         assert by_method[Method.KNN_SUM].min_t >= 200.0
         assert by_method[Method.HDOUTLIERS].max_t < 200.0
+
+    def test_hdoutliers_combos_time_the_exemplar_knn(self, labeled_synth, monkeypatch):
+        # HDoutliers' k = 1 kNN over its exemplars is a kept build it reads,
+        # so min_t/mu_t/max_t add it to HDoutliers only
+        from driftguard import neighbors
+
+        real_knn = neighbors.knn
+
+        def slow_exemplar_knn(cloud, k):
+            if k == 1:
+                time.sleep(0.2)
+            return real_knn(cloud, k)
+
+        monkeypatch.setattr(neighbors, "knn", slow_exemplar_knn)
+        variables, kind = ("turbidity", "conductivity"), TransformKind.ONE_SIDED_DERIVATIVE
+        combos = [Combo(variables, kind, m) for m in (Method.KNN_SUM, Method.HDOUTLIERS)]
+        by_method = {
+            r.combo.method: r.timing
+            for r in grid_evaluate(labeled_synth, combos, repetitions=3, max_workers=1)
+        }
+        assert by_method[Method.HDOUTLIERS].min_t >= 200.0
+        assert by_method[Method.HDOUTLIERS].max_t < 400.0  # counted once: in the build, not the samples
+        assert by_method[Method.KNN_SUM].max_t < 200.0
 
     def test_leader_runs_once_per_cloud(self, labeled_synth, monkeypatch):
         from driftguard import neighbors

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
 from driftguard.neighbors import _sq_distances
-from driftguard.scoring import _density_floor, knn_agg_weights, score_inflo
+from driftguard.scoring import _density_floor, kept_reads, knn_agg_weights, score_inflo
 
 import reference as ref
 
@@ -37,11 +38,46 @@ class TestHDoutliers:
         sv = score(grid10(), ScoringConfig(method=Method.HDOUTLIERS, leader_radius=1e-9))
         np.testing.assert_allclose(sv.scores, np.ones(100))
 
-    def test_single_cluster_scores_zero(self, rng):
-        cloud = PointCloud(rng.random((20, 2)))
-        sv = score(cloud, ScoringConfig(method=Method.HDOUTLIERS, leader_radius=100.0))
-        np.testing.assert_array_equal(sv.scores, np.zeros(20))
-        assert sv.notes
+    def test_single_cluster_scores_zero(self, rng, monkeypatch):
+        # on every call, with no exemplar kNN
+        from driftguard import neighbors
+
+        calls = []
+        monkeypatch.setattr(neighbors, "knn", lambda cloud, k: calls.append(k))
+        pts = rng.random((20, 2))
+        cloud = PointCloud(pts)
+        cfg = ScoringConfig(method=Method.HDOUTLIERS, leader_radius=100.0)
+        for _ in range(2):
+            sv = score(cloud, cfg)
+            np.testing.assert_array_equal(sv.scores, np.zeros(20))
+            assert sv.scores.tobytes() == ref.ref_hdoutliers(pts, 100.0).tobytes()
+            assert sv.notes == ("single leader cluster: all scores 0",)
+        assert calls == []
+        assert cloud.build_ms("exemplar_knn") == 0.0
+
+    def test_exemplar_knn_runs_once_a_cloud_and_counts_as_its_build(self, rng, monkeypatch):
+        from driftguard import neighbors
+
+        calls = []
+        real_knn = neighbors.knn
+
+        def slow_knn(cloud, k):
+            calls.append((len(cloud), k))
+            time.sleep(0.05)
+            return real_knn(cloud, k)
+
+        monkeypatch.setattr(neighbors, "knn", slow_knn)
+        pts = rng.random((200, 2))
+        cloud = PointCloud(pts)
+        cfg = ScoringConfig(method=Method.HDOUTLIERS, leader_radius=0.1)
+        first, second = score(cloud, cfg), score(cloud, cfg)
+        assert calls == [(len(cloud.clusters(0.1).exemplars), 1)]
+        assert cloud.build_ms("exemplar_knn") >= 50.0
+        assert "exemplar_knn" in kept_reads(Method.HDOUTLIERS)
+        want = ref.ref_hdoutliers(pts, 0.1)
+        assert first.scores.tobytes() == want.tobytes()
+        assert second.scores.tobytes() == want.tobytes()
+        assert first.notes == second.notes == ()
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
@@ -264,7 +300,8 @@ def test_inflo_bit_equal_to_unique_edge_union(data):
     n = data.draw(st.integers(min_value=3, max_value=120))
     d = data.draw(st.integers(min_value=1, max_value=3))
     k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 12)))
-    raw = data.draw(arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
+    # fill=st.nothing(): else hypothesis fills most cells with one value
+    raw = data.draw(arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0), fill=st.nothing()))
     pts = np.maximum(raw, 0.0)
     decimals = data.draw(st.sampled_from([None, 0, 1]))
     if decimals is not None:

@@ -11,11 +11,10 @@ worker builds the cloud and runs its combos one after another: only the
 per-method stages of ``pipeline.detect_on_cloud``, reading each prediction;
 no flag is ever described. Inside a worker, ``knn`` runs its blocks inline,
 so the threads never multiply; a grid of one cloud runs inline, and its
-``knn`` gets the threads. The cloud keeps its own kNN lists, Leader
-clustering, the Leader exemplars' nearest-exemplar distances and COF's and
-LDOF's one number per point, each built by the first combo that reads it,
-and is dropped when its worker moves on, so at most ``workers`` clouds are
-alive at once.
+``knn`` gets the threads. The cloud keeps the builds its methods read
+(``scoring.kept_reads`` lists them), each made by the first combo that reads
+it, and is dropped when its worker moves on, so at most ``workers`` clouds
+are alive at once.
 """
 
 from __future__ import annotations
@@ -197,9 +196,7 @@ def grid_evaluate(
     ``sides`` is the one-sided transform's side map, as in ``PipelineConfig``.
     Combos sharing (variables, transform) share one cloud: rules ->
     transform -> normalize run once for them, and so do the cloud's kept
-    builds: its kNN lists, its Leader clustering, the exemplars'
-    nearest-exemplar distances and COF's and LDOF's one number per point,
-    each made by the first combo that reads it.
+    builds (``scoring.kept_reads``), each made by the first combo that reads it.
     The pool's unit is the cloud: one worker builds it and runs its combos
     one after another, and the cloud is dropped when they are done. The pool
     has ``max_workers`` threads, by default ``neighbors.thread_cap()``.
@@ -211,10 +208,9 @@ def grid_evaluate(
     matrix, then ``repetitions`` times timed. No flag is described: the
     grid never reads ``DetectionResult.detections``. ``min_t/mu_t/max_t``
     are those samples plus the group's one-off build, measured once: rules
-    + transform + normalize, plus the kept builds the method reads, as
-    the cloud recorded them: ``knn`` for the kNN methods, plus ``cof`` for
-    COF and ``ldof`` for LDOF, or ``leader`` and ``exemplar_knn`` for
-    HDoutliers. So each still reads as the chain from the raw series.
+    + transform + normalize, plus the kept builds ``kept_reads`` names for
+    the method, as the cloud timed them. So each still reads as the chain
+    from the raw series.
 
     Per-combo failures are captured in the report rather than aborting the
     grid; too few repetitions is refused before any combo runs. NaN-OP and

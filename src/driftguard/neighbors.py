@@ -1,10 +1,10 @@
 """Shared geometry: unit-hypercube normalization, exact kNN, Leader clustering.
 
-A ``PointCloud`` keeps its own builds: ``neighbors(k)``, ``clusters(radius)``
-and ``hood_values(kind, k, reduce)`` run ``knn``, ``leader`` and ``hood_map``
-once, and ``exemplar_distances(radius)`` runs ``knn`` with k = 1 once over
-the Leader exemplars. So every scorer and repetition on one cloud shares
-them, and the cloud records how long each took.
+A ``PointCloud`` keeps each build through one hook, ``kept(key, build,
+*args)``: ``neighbors(k)`` and ``clusters(radius)`` keep ``knn`` and
+``leader``, and the scorers keep their own per-cloud values there too
+(``scoring.kept_reads`` lists every kind). So every scorer and repetition on
+one cloud shares them, and the cloud records how long each took.
 
 kNN is kd-tree accelerated but contractually exact, identical to brute force
 with ties broken by lower index. It runs on the distinct points: exact
@@ -115,12 +115,9 @@ def parallel_map(fn, items: list, workers: int) -> list:
 class PointCloud:
     """Finite points, one row per point.
 
-    ``diameter_bound``, ``neighbors``, ``clusters``, ``exemplar_distances``
-    and ``hood_values`` are kept after their first call, so the points must
-    not change after that. Every read takes the cloud's one lock, so each is built once even when
-    threads ask for it together, and a read waits while another build of the
-    cloud is made. ``build_ms`` tells how long each took. A build that raises
-    is not kept and raises again on the next call.
+    ``diameter_bound`` and every build made through ``kept`` are kept after
+    their first call, so the points must not change after that. ``build_ms``
+    tells how long each kind of build took.
     """
 
     points: np.ndarray
@@ -149,43 +146,26 @@ class PointCloud:
         return float(np.sqrt(_sq_distances(self.points.max(axis=0), self.points.min(axis=0))))
 
     def neighbors(self, k: int) -> "NeighborLists":
-        """``knn(self, k)``, built on the first call and kept."""
-        return self._kept(("knn", k), knn, k)
+        """``knn(self, k)``, kept as ("knn", k)."""
+        return self.kept(("knn", k), knn, k)
 
-    def clusters(self, radius: float | None = None) -> "LeaderClustering":
-        """``leader(self, radius)``, built on the first call and kept.
-
-        ``radius=None`` means ``default_leader_radius(len(self), self.dim)``.
-        """
-        if radius is None:
-            radius = default_leader_radius(len(self), self.dim)
-        return self._kept(("leader", radius), leader, radius)
-
-    def exemplar_distances(self, radius: float | None = None) -> np.ndarray:
-        """Each exemplar of ``clusters(radius)`` to its nearest fellow exemplar, kept by radius.
-
-        The distances ``knn`` gives the exemplars with k = 1, in exemplar
-        order; the clustering must have two or more exemplars.
-        """
-        if radius is None:
-            radius = default_leader_radius(len(self), self.dim)
-        clustering = self.clusters(radius)  # before _kept: the cloud's lock is not re-entrant
-        return self._kept(("exemplar_knn", radius), _exemplar_distances, clustering)
-
-    def hood_values(self, kind: str, k: int, reduce) -> np.ndarray:
-        """``hood_map(self, self.neighbors(k), reduce)``, kept by (kind, k): one reduce a kind."""
-        nl = self.neighbors(k)  # before _kept: the cloud's lock is not re-entrant
-        return self._kept((kind, k), hood_map, nl, reduce)
+    def clusters(self, radius: float) -> "LeaderClustering":
+        """``leader(self, radius)``, kept as ("leader", radius)."""
+        return self.kept(("leader", radius), leader, radius)
 
     def build_ms(self, kind: str) -> float:
-        """Milliseconds the kept builds of ``kind`` took.
-
-        The kinds are "knn", "leader", "exemplar_knn" and the hood kinds.
-        Summed over every argument built; 0.0 when none is kept.
-        """
+        """Milliseconds the kept builds of ``kind`` took, summed over its keys; 0.0 when none."""
         return self._build_ms.get(kind, 0.0)
 
-    def _kept(self, key, build, *args):
+    def kept(self, key: tuple, build, *args):
+        """``build(self, *args)``, made on the first call with ``key`` and kept under it.
+
+        ``key[0]`` is the build's kind, for ``build_ms``. Every call takes
+        the cloud's one lock, so each key is built once even when threads ask
+        together. The lock is not re-entrant: a build reads no kept build of
+        its own cloud; the caller reads those first and passes them in
+        ``args``. A build that raises is not kept.
+        """
         with self._lock:
             if key not in self._builds:
                 start = time.perf_counter()
@@ -438,13 +418,6 @@ def leader(cloud: PointCloud, radius: float) -> LeaderClustering:
         exemplars.append(i)
         i += int(uncovered[i:].argmax())
     return LeaderClustering(np.asarray(exemplars, dtype=np.int64), assignment)
-
-
-def _exemplar_distances(cloud: PointCloud, clustering: LeaderClustering) -> np.ndarray:
-    """``PointCloud.exemplar_distances``' build: kNN with k = 1 over the exemplars alone."""
-    out = knn(PointCloud(points=cloud.points[clustering.exemplars]), 1).distances[:, 0]
-    out.flags.writeable = False  # shared by every scorer and thread on the cloud
-    return out
 
 
 def default_leader_radius(n: int, dim: int) -> float:

@@ -6,9 +6,8 @@ plain kNN distance sums, relative kNN distance) and four are density based
 All consume a normalized cloud so no variable dominates the metric. ``score``
 checks the cloud and hands the seven kNN scorers the cloud's kept neighbor
 lists, ``cloud.neighbors(k)``; those scorers are formulas over the lists.
-COF and LDOF also read one kept number per point, ``cloud.hood_values``.
-HDoutliers reads the cloud's kept Leader clustering, ``cloud.clusters``, and
-its exemplars' kept nearest-exemplar distances, ``cloud.exemplar_distances``.
+Whatever else a scorer builds once per cloud, it keeps through
+``cloud.kept``; ``kept_reads`` is the one list of the kinds each method reads.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import neighbors
 from .errors import ConfigError, DataError
-from .neighbors import NeighborLists, PointCloud, _sq_distances
+from .neighbors import LeaderClustering, NeighborLists, PointCloud, _sq_distances, default_leader_radius
 
 
 class Method(str, Enum):
@@ -65,6 +65,8 @@ class ScoringConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be at least 1")
+        if self.method is Method.LDOF and self.k < 2:
+            raise ConfigError("LDOF needs k >= 2")
         # Written as not (x > 0) so that NaN is refused too.
         if self.leader_radius is not None and not self.leader_radius > 0:
             raise ConfigError("leader_radius must be positive")
@@ -108,19 +110,27 @@ def _cap(scores: np.ndarray, bad: np.ndarray, what: str) -> tuple[str, ...]:
     return (f"{int(bad.sum())} {what}",)
 
 
+def _exemplar_distances(cloud: PointCloud, clustering: LeaderClustering) -> np.ndarray:
+    """Each Leader exemplar's distance to its nearest fellow exemplar, in exemplar order."""
+    out = neighbors.knn(PointCloud(points=cloud.points[clustering.exemplars]), 1).distances[:, 0]
+    out.flags.writeable = False  # shared by every scorer and thread on the cloud
+    return out
+
+
 def score_hdoutliers(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Exemplar nearest-neighbor distance, inherited by every cluster member.
 
-    Reads the cloud's kept Leader clustering and its exemplars' distances to
-    their nearest fellow exemplars, ``cloud.exemplar_distances``; every
-    member scores its exemplar's distance.
+    Reads the cloud's kept Leader clustering and keeps its exemplars'
+    nearest-exemplar distances by radius (kind "exemplar_knn"); every member
+    scores its exemplar's distance.
     """
-    clustering = cloud.clusters(cfg.leader_radius)
+    radius = cfg.leader_radius or default_leader_radius(len(cloud), cloud.dim)
+    clustering = cloud.clusters(radius)
     if len(clustering.exemplars) < 2:
         return ScoreVector(
             np.zeros(len(cloud)), Method.HDOUTLIERS, ("single leader cluster: all scores 0",)
         )
-    ex_scores = cloud.exemplar_distances(cfg.leader_radius)
+    ex_scores = cloud.kept(("exemplar_knn", radius), _exemplar_distances, clustering)
     return ScoreVector(ex_scores[clustering.assignment], Method.HDOUTLIERS)
 
 
@@ -178,14 +188,14 @@ def _avg_chain_dists(dist: np.ndarray) -> np.ndarray:
 
 
 def _chain_dists(hood: np.ndarray) -> np.ndarray:
-    """COF's ``hood_values`` reduce: average chaining distances of (d, rows, k+1) neighborhoods."""
+    """COF's ``hood_map`` reduce: average chaining distances of (d, rows, k+1) neighborhoods."""
     return _avg_chain_dists(np.sqrt(_sq_distances(hood[..., None], hood[:, :, None])))
 
 
 def score_cof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Connectivity-based factor comparing chaining distances with neighbors'."""
     k = cfg.k
-    ac = cloud.hood_values("cof", k, _chain_dists)
+    ac = cloud.kept(("cof", k), neighbors.hood_map, nl, _chain_dists)
     denom = ac[nl.indices].sum(axis=1)
     floor = k * _density_floor(cloud)
     scores = np.where((ac == 0) & (denom == 0), 1.0, ac * k / np.maximum(denom, floor))
@@ -224,17 +234,15 @@ def score_inflo(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> Sco
 
 
 def _pair_sums(hood: np.ndarray) -> np.ndarray:
-    """LDOF's ``hood_values`` reduce: each row's (k, k) neighbor distances, summed."""
+    """LDOF's ``hood_map`` reduce: each row's (k, k) neighbor distances, summed."""
     return np.sqrt(_sq_distances(hood[:, :, 1:, None], hood[:, :, None, 1:])).sum(axis=(1, 2))
 
 
 def score_ldof(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
     """Relative distance factor: mean kNN distance over mean distance between neighbors."""
-    if cfg.k < 2:
-        raise DataError("this factor needs k >= 2")
     k = cfg.k
     dbar = nl.distances.mean(axis=1)
-    inner = cloud.hood_values("ldof", k, _pair_sums) / (k * (k - 1))
+    inner = cloud.kept(("ldof", k), neighbors.hood_map, nl, _pair_sums) / (k * (k - 1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = dbar / inner
@@ -292,7 +300,11 @@ _KNN_SCORERS = {
 
 
 def kept_reads(method: Method) -> tuple[str, ...]:
-    """The kinds of kept build (``PointCloud.build_ms``) ``score`` reads for ``method``."""
+    """The one list of the kinds of kept build ``score`` reads for ``method``.
+
+    "knn" and "leader" are ``cloud.neighbors`` and ``cloud.clusters``; the
+    scorers here keep the others through ``cloud.kept``.
+    """
     if method is Method.HDOUTLIERS:
         return ("leader", "exemplar_knn")
     if method in (Method.COF, Method.LDOF):
@@ -304,9 +316,8 @@ def score(cloud: PointCloud, cfg: ScoringConfig) -> ScoreVector:
     """Run the configured scorer on a (normalized) point cloud.
 
     Checks the cloud once. The kNN scorers read ``cloud.neighbors(cfg.k)``,
-    which refuses k >= n; HDoutliers reads ``cloud.clusters(cfg.leader_radius)``
-    and ``cloud.exemplar_distances(cfg.leader_radius)``. Each is built on the
-    cloud's first call and kept for every later one.
+    which refuses k >= n. Each kept build the method reads (``kept_reads``)
+    is made on the cloud's first call and kept for every later one.
     """
     if len(cloud) < 2:
         raise DataError("scoring needs at least 2 points")

@@ -625,6 +625,7 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
         # the config objects' own checks, under their section
         ({"threshold": {"alpha": 2}}, "threshold: alpha must lie in (0, 1)"),
         ({"scoring": {"k": 0}}, "scoring: k must be at least 1"),
+        ({"scoring": {"method": "LDOF", "k": 1}}, "scoring: LDOF needs k >= 2"),
         ({"scoring": {"leader_radius": 0}}, "scoring: leader_radius must be positive"),
         ({"scoring": {"rkof_weight_sigma": -1}}, "scoring: rkof_weight_sigma must be positive"),
         ({"threshold": {"tail_count": 1}}, "threshold: tail_count must be at least 2"),
@@ -646,8 +647,8 @@ def test_bad_config_shape_is_config_error(tmp_path, caplog, command, overrides, 
          "variables: pipeline names variable(s) ['turbidity'] more than once"),
     ],
     ids=["side-tag", "range-bound", "range-shape", "grid-method", "grid-transform",
-         "grid-variable-set", "transform-kind", "scoring-method", "alpha", "k", "leader-radius",
-         "rkof-weight-sigma", "tail-count", "max-gap-minutes", "reversed-range",
+         "grid-variable-set", "transform-kind", "scoring-method", "alpha", "k", "ldof-k",
+         "leader-radius", "rkof-weight-sigma", "tail-count", "max-gap-minutes", "reversed-range",
          "synth-n-points", "synth-fault-variable", "negative-seed", "reps", "grid-no-methods",
          "grid-no-transforms", "grid-empty-variable-set", "grid-repeated-variable",
          "repeated-variable"],

@@ -432,7 +432,7 @@ class TestGrid:
     def test_ldof_with_k_1_fails_alone(self, labeled_synth):
         combos = [Combo(("turbidity",), TransformKind.ORIGINAL, m) for m in Method]
         errors = self._errors(labeled_synth, combos, scoring_base=ScoringConfig(k=1))
-        assert errors.pop(Method.LDOF) == "this factor needs k >= 2"
+        assert errors.pop(Method.LDOF) == "LDOF needs k >= 2"
         assert set(errors.values()) == {None}
 
     @pytest.mark.parametrize("n_rows", [1, 2])

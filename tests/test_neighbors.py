@@ -489,6 +489,12 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+def _hood_values(cloud, kind, k, reduce):
+    """``hood_map`` over the cloud's kept k-lists, kept as (kind, k), as COF and LDOF keep it."""
+    nl = cloud.neighbors(k)  # before kept: the cloud's lock is not re-entrant
+    return cloud.kept((kind, k), neighbors.hood_map, nl, reduce)
+
+
 class TestKeptBuilds:
     def test_neighbors_are_kept(self, rng):
         cloud = PointCloud(rng.random((80, 2)))
@@ -505,12 +511,18 @@ class TestKeptBuilds:
         assert cloud.neighbors(3) is three and cloud.neighbors(7) is seven
 
     def test_default_clusters_use_the_default_radius(self, rng):
+        from driftguard import Method, ScoringConfig, score
+
         cloud = normalize(np.maximum(rng.normal(size=(500, 2)), 0.0))
-        kept = cloud.clusters(None)
-        direct = leader(cloud, default_leader_radius(len(cloud), cloud.dim))
+        score(cloud, ScoringConfig(method=Method.HDOUTLIERS))  # leader_radius None
+        spent = cloud.build_ms("leader")
+        radius = default_leader_radius(len(cloud), cloud.dim)
+        kept = cloud.clusters(radius)
+        direct = leader(cloud, radius)
         np.testing.assert_array_equal(kept.exemplars, direct.exemplars)
         np.testing.assert_array_equal(kept.assignment, direct.assignment)
-        assert cloud.clusters() is kept
+        assert cloud.clusters(radius) is kept
+        assert spent > 0.0 and cloud.build_ms("leader") == spent
 
     def test_failed_build_raises_every_time_and_is_not_kept(self, monkeypatch):
         cloud = PointCloud(np.array([[0.0], [1.0], [2.0], [10.0]]))
@@ -556,8 +568,9 @@ class TestKeptBuilds:
 
         def ask():
             start.wait(timeout=10)
-            args = (4,) if ask_for == "neighbors" else ("cof", 4, _chain_dists)
-            return getattr(cloud, ask_for)(*args)
+            if ask_for == "neighbors":
+                return cloud.neighbors(4)
+            return _hood_values(cloud, "cof", 4, _chain_dists)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -601,8 +614,8 @@ class TestHoodValues:
 
     @staticmethod
     def assert_values_are_the_formulas(cloud, k):
-        chain = cloud.hood_values("cof", k, _chain_dists)
-        pair_sums = cloud.hood_values("ldof", k, _pair_sums)
+        chain = _hood_values(cloud, "cof", k, _chain_dists)
+        pair_sums = _hood_values(cloud, "ldof", k, _pair_sums)
         # every neighborhood's distances at once, as one (n, k+1, k+1) array
         n = len(cloud)
         hood = cloud.points[np.column_stack([np.arange(n), cloud.neighbors(k).indices])]
@@ -612,20 +625,20 @@ class TestHoodValues:
             assert kept.shape == (n,)
             assert not kept.flags.writeable
             assert kept.tobytes() == want.tobytes()
-        assert cloud.hood_values("cof", k, _chain_dists) is chain
-        assert cloud.hood_values("ldof", k, _pair_sums) is pair_sums
+        assert _hood_values(cloud, "cof", k, _chain_dists) is chain
+        assert _hood_values(cloud, "ldof", k, _pair_sums) is pair_sums
 
     def test_values_are_built_once_per_kind_and_timed(self, rng, monkeypatch):
         cloud = normalize(np.maximum(rng.normal(size=(300, 3)), 0.0))
         calls = _record_calls(monkeypatch, "hood_map")
         assert cloud.build_ms("cof") == 0.0
-        chain = cloud.hood_values("cof", 5, _chain_dists)
+        chain = _hood_values(cloud, "cof", 5, _chain_dists)
         spent = cloud.build_ms("cof")
         assert spent > 0.0
         assert cloud.build_ms("ldof") == 0.0
-        assert cloud.hood_values("cof", 5, _chain_dists) is chain
+        assert _hood_values(cloud, "cof", 5, _chain_dists) is chain
         assert cloud.build_ms("cof") == spent
-        cloud.hood_values("ldof", 5, _pair_sums)
+        _hood_values(cloud, "ldof", 5, _pair_sums)
         assert cloud.build_ms("cof") == spent and cloud.build_ms("ldof") > 0.0
         assert [(size, reduce) for size, _, reduce in calls] == [
             (300, _chain_dists),
@@ -637,7 +650,7 @@ class TestHoodValues:
 
         cloud = normalize(rng.random((50, 2)))
         calls = _record_calls(monkeypatch, "hood_map")
-        with pytest.raises(DataError, match="k >= 2"):
+        with pytest.raises(ConfigError, match="LDOF needs k >= 2"):
             score(cloud, ScoringConfig(method=Method.LDOF, k=1))
         assert calls == []
         assert cloud.build_ms("ldof") == 0.0

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from driftguard import ConfigError, DataError, Method, PointCloud, ScoringConfig, knn, normalize, score
-from driftguard.neighbors import _sq_distances
+from driftguard.neighbors import _sq_distances, default_leader_radius
 from driftguard.scoring import _density_floor, kept_reads, knn_agg_weights, score_inflo
 
 import reference as ref
@@ -109,6 +110,42 @@ def test_second_score_reads_the_clouds_kept_lists(method, rng, monkeypatch):
     assert calls == []
     np.testing.assert_array_equal(second.scores, first.scores)
     assert second.notes == first.notes
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_kept_reads_names_exactly_what_score_builds(method, monkeypatch):
+    # a one-sided cloud: one row in eight sits on the origin
+    points = np.maximum(np.random.default_rng(36).normal(size=(300, 3)), 0.0)
+    cfg = ScoringConfig(method=method, k=6)
+    asked = []
+    real_kept = PointCloud.kept
+
+    def kept(cloud, key, build, *args):
+        asked.append(key[0])
+        return real_kept(cloud, key, build, *args)
+
+    monkeypatch.setattr(PointCloud, "kept", kept)
+    cloud = normalize(points)
+    first = score(cloud, cfg)
+    all_kinds = {kind for m in Method for kind in kept_reads(m)}
+    spent = {kind: cloud.build_ms(kind) for kind in all_kinds}
+    assert set(asked) == set(kept_reads(method))
+    assert {kind for kind, ms in spent.items() if ms > 0.0} == set(kept_reads(method))
+
+    second = score(cloud, cfg)  # builds nothing
+    assert {kind: cloud.build_ms(kind) for kind in all_kinds} == spent
+    assert second.scores.tobytes() == first.scores.tobytes()
+
+    # the same scores on a cloud where the seven other methods built first
+    warm = normalize(points)
+    for other in Method:
+        if other is not method:
+            score(warm, replace(cfg, method=other))
+    radius = default_leader_radius(len(warm), warm.dim)
+    assert len(warm.clusters(radius).exemplars) >= 2
+    after = score(warm, cfg)
+    assert after.scores.tobytes() == first.scores.tobytes()
+    assert after.notes == first.notes
 
 
 @pytest.mark.parametrize(
@@ -353,8 +390,8 @@ class TestLdof:
         assert sv.scores[3] == sv.scores.max()
 
     def test_k_must_be_at_least_two(self):
-        with pytest.raises(DataError):
-            score(LINE4, ScoringConfig(method=Method.LDOF, k=1))
+        with pytest.raises(ConfigError, match="LDOF needs k >= 2"):
+            ScoringConfig(method=Method.LDOF, k=1)
 
     def test_pair_sums_taken_in_row_chunks_match_one_fresh_array(self, rng):
         # more rows than one chunk of the build, and not a multiple of it

@@ -17,6 +17,7 @@ import copy
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -215,7 +216,7 @@ def _enum(kind: type, text, key: str):
 def _ingest(args, cfg: dict, s: _Settings) -> MultiSeries:
     """Read ``--input``; a config entry or ``--combo`` naming no input variable is a ConfigError."""
     ms = ingest_csv(args.input, site=cfg["site"])
-    named = [(f"variables[{i}]", var) for i, var in enumerate(s.variables)]
+    named = [(f"variables[{i}]", var) for i, var in enumerate(s.pipeline.variables)]
     for section, node in _VARIABLE_NODES:
         named += [(f"{section}.{node}.{var}", var) for var in cfg[section][node]]
     named += [(f"grid.variable_sets[{i}]", v) for i, vs in enumerate(s.variable_sets) for v in vs]
@@ -229,12 +230,7 @@ def _ingest(args, cfg: dict, s: _Settings) -> MultiSeries:
 class _Settings(NamedTuple):
     """The objects a resolved config and the ``--combo`` flags configure; see ``_settings``."""
 
-    variables: tuple[str, ...]  # empty: every input variable
-    transform: TransformKind
-    sides: dict[str, Side] | None
-    scoring: ScoringConfig
-    threshold: ThresholdConfig
-    rules: RuleConfig | None  # configured ranges only; None when the rules are disabled
+    pipeline: PipelineConfig  # empty variables: every input variable
     variable_sets: list[tuple]
     kinds: list[TransformKind]
     methods: list[Method]
@@ -270,14 +266,17 @@ def _settings(cfg: dict, combo_specs=()) -> _Settings:
     methods = [_keyed(f"grid.methods[{i}]", Method.parse, m) for i, m in enumerate(grid["methods"])]
     if not (kinds and methods):
         raise ConfigError("grid.transforms and grid.methods must each name at least one")
-    variables = tuple(cfg["variables"])
     return _Settings(
-        variables=variables and _keyed("variables", distinct_variables, variables, "pipeline"),
-        transform=_enum(TransformKind, transform["kind"], "transform.kind"),
-        sides=sides or None,
-        scoring=_keyed("scoring", ScoringConfig, **{**scoring, "method": method}),
-        threshold=_keyed("threshold", ThresholdConfig, **cfg["threshold"]),
-        rules=rule_cfg if rules["enabled"] else None,
+        pipeline=_keyed(
+            "variables",
+            PipelineConfig,
+            variables=tuple(cfg["variables"]),
+            transform=_enum(TransformKind, transform["kind"], "transform.kind"),
+            scoring=_keyed("scoring", ScoringConfig, **{**scoring, "method": method}),
+            threshold=_keyed("threshold", ThresholdConfig, **cfg["threshold"]),
+            rules=rule_cfg if rules["enabled"] else None,
+            sides=sides or None,
+        ),
         variable_sets=variable_sets,
         kinds=kinds,
         methods=methods,
@@ -287,14 +286,8 @@ def _settings(cfg: dict, combo_specs=()) -> _Settings:
 
 
 def _pipeline_config(s: _Settings, ms: MultiSeries) -> PipelineConfig:
-    return PipelineConfig(
-        variables=s.variables or ms.variables,
-        transform=s.transform,
-        scoring=s.scoring,
-        threshold=s.threshold,
-        rules=s.rules,
-        sides=s.sides,
-    )
+    """``s.pipeline`` naming its variables; an empty list takes the input's."""
+    return replace(s.pipeline, variables=s.pipeline.variables or ms.variables)
 
 
 def _fields(node, key: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
@@ -406,10 +399,10 @@ def cmd_evaluate(args) -> int:
     reports = grid_evaluate(
         ms,
         _combos(s, ms),
-        scoring_base=s.scoring,  # method overridden per combo
-        threshold_cfg=s.threshold,
-        rule_cfg=s.rules,
-        sides=s.sides,
+        scoring_base=s.pipeline.scoring,  # method overridden per combo
+        threshold_cfg=s.pipeline.threshold,
+        rule_cfg=s.pipeline.rules,
+        sides=s.pipeline.sides,
         repetitions=cfg["reps"],
     )
     out_dir = Path(args.out_dir)

@@ -126,9 +126,8 @@ def _check_repetitions(repetitions: int) -> None:
 
 
 def benchmark(run: Callable[[], object], repetitions: int) -> TimingStats:
-    """Wall-clock stats over ``repetitions`` calls, one warm-up call excluded."""
+    """Wall-clock stats over exactly ``repetitions`` calls; the caller makes any warm-up call."""
     _check_repetitions(repetitions)
-    run()
     samples = []
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -248,23 +247,16 @@ def grid_evaluate(
     ) -> EvaluationReport:
         try:
             pcfg = replace(pcfg, scoring=replace(scoring_base, method=combo.method))
-            first = []
-
-            def run():
-                result = detect_on_cloud(ms, prepared, pcfg)
-                if not first:
-                    first.append(result)
-
-            # benchmark's untimed warm-up run supplies the confusion matrix,
-            # and makes any kept build the method reads that is not made yet.
-            stages = benchmark(run, repetitions)
+            # The untimed run supplies the confusion matrix, and makes any
+            # kept build the method reads that is not made yet.
+            cm = confusion(detect_on_cloud(ms, prepared, pcfg).predicted, truth)
+            stages = benchmark(lambda: detect_on_cloud(ms, prepared, pcfg), repetitions)
             one_off = build_ms + sum(
                 prepared.cloud.build_ms(kind) for kind in kept_reads(combo.method)
             )
             timing = TimingStats(
                 stages.min_t + one_off, stages.mu_t + one_off, stages.max_t + one_off
             )
-            cm = confusion(first[0].predicted, truth)
             return EvaluationReport(combo, cm, metrics(cm), timing)
         except Exception as exc:  # per-combo isolation
             return EvaluationReport(combo, None, None, None, error=str(exc))

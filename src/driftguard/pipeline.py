@@ -45,7 +45,10 @@ def distinct_variables(variables, owner: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one detection run needs; rules=None skips the rule stage."""
+    """Everything one detection run needs; rules=None skips the rule stage.
+
+    An empty ``variables`` runs every variable of the series.
+    """
 
     variables: tuple[str, ...]
     transform: TransformKind
@@ -55,7 +58,8 @@ class PipelineConfig:
     sides: Mapping[str, Side | str] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", distinct_variables(self.variables, "pipeline"))
+        variables = tuple(self.variables)
+        object.__setattr__(self, "variables", variables and distinct_variables(variables, "pipeline"))
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def prepare_cloud(ms: MultiSeries, cfg: PipelineConfig) -> PreparedCloud:
     cleaned = ms
     if cfg.rules is not None:
         rule_flags, cleaned = apply_rules(ms, cfg.rules)
-    tm = build_matrix(cleaned, cfg.transform, cfg.variables, cfg.sides)
+    tm = build_matrix(cleaned, cfg.transform, cfg.variables or None, cfg.sides)
     return PreparedCloud(rule_flags, tm, normalize(tm.points))
 
 

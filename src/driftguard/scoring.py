@@ -145,8 +145,15 @@ def knn_agg_weights(k: int) -> np.ndarray:
 
 
 def score_knn_agg(cloud: PointCloud, nl: NeighborLists, cfg: ScoringConfig) -> ScoreVector:
-    """Weighted kNN distance sum giving nearer neighbors higher weight."""
-    return ScoreVector(nl.distances @ knn_agg_weights(cfg.k), Method.KNN_AGG)
+    """Weighted kNN distance sum giving nearer neighbors higher weight.
+
+    The weighted columns are added one at a time in neighbor order, so a row's
+    score does not depend on where the row sits in the cloud.
+    """
+    total = np.zeros(len(cloud))
+    for weight, column in zip(knn_agg_weights(cfg.k), nl.distances.T):
+        total += weight * column
+    return ScoreVector(total, Method.KNN_AGG)
 
 
 def _lrd(cloud: PointCloud, nl: NeighborLists) -> np.ndarray:

@@ -130,11 +130,7 @@ def resolve_sides(
         return None
     resolved: dict[str, Side] = {}
     for var in variables:
-        raw = None
-        if sides is not None and var in sides:
-            raw = sides[var]
-        elif var in DEFAULT_SIDES:
-            raw = DEFAULT_SIDES[var]
+        raw = (sides or {}).get(var, DEFAULT_SIDES.get(var))
         if raw is None:
             raise ConfigError(
                 f"one_sided_derivative: no side tag for variable {var!r}"

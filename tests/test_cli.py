@@ -77,9 +77,9 @@ class TestConfig:
     def test_default_config_builds_the_library_defaults(self):
         # DEFAULT_CONFIG and the dataclasses each write these defaults down
         s = _settings(load_config(None))
-        assert s.scoring == ScoringConfig()
-        assert s.threshold == ThresholdConfig()
-        assert s.rules == RuleConfig(ranges={})
+        assert s.pipeline.scoring == ScoringConfig()
+        assert s.pipeline.threshold == ThresholdConfig()
+        assert s.pipeline.rules == RuleConfig(ranges={})
         synth_defaults = {f.name: f.default for f in fields(SynthConfig)}
         for key in ("long_gap_at", "long_gap_minutes", "site"):
             assert cli.DEFAULT_CONFIG["synth"][key] == synth_defaults[key], key

@@ -104,6 +104,11 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             benchmark(lambda: None, repetitions=1)
 
+    def test_calls_run_exactly_repetitions_times(self):
+        calls = []
+        benchmark(lambda: calls.append(None), repetitions=4)
+        assert len(calls) == 4
+
     def test_mean_within_bounds(self):
         stats = benchmark(lambda: sum(range(1000)), repetitions=10)
         assert stats.min_t <= stats.mu_t <= stats.max_t
@@ -158,6 +163,26 @@ class TestGrid:
             c = report.combo
             pcfg = PipelineConfig(c.variables, c.transform, scoring=ScoringConfig(method=c.method))
             assert report.cm == confusion(run_detection(labeled_synth, pcfg).predicted, truth), c
+
+    def test_each_combo_runs_its_stages_once_untimed_and_repetitions_times_timed(
+        self, labeled_synth, monkeypatch
+    ):
+        from driftguard import evaluation
+
+        calls = []
+        real_detect = evaluation.detect_on_cloud
+
+        def counted(*args):
+            calls.append(None)
+            return real_detect(*args)
+
+        monkeypatch.setattr(evaluation, "detect_on_cloud", counted)
+        combos = self.combos() + [
+            Combo(("turbidity", "conductivity"), TransformKind.ORIGINAL, Method.LOF)
+        ]
+        reports = grid_evaluate(labeled_synth, combos, repetitions=4)
+        assert [r.error for r in reports] == [None] * 3
+        assert len(calls) == 3 * (1 + 4)
 
     def test_knn_runs_once_per_cloud(self, labeled_synth, monkeypatch):
         from driftguard import PipelineConfig, neighbors, pipeline

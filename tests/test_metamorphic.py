@@ -4,17 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftguard import (
     BaseSignal,
+    ConfigError,
     FaultSpec,
     Method,
     PipelineConfig,
+    PointCloud,
     RuleConfig,
     ScoringConfig,
     SynthConfig,
     TransformKind,
+    evt_flag,
     run_detection,
+    score,
     synth_series,
 )
 
@@ -96,3 +102,50 @@ def test_the_shift_series_exercises_rules_and_neighbour_correction(unshifted):
     detections = [d for result in unshifted.values() for d in result.detections]
     assert any(d.trigger == "rule" for d in detections)
     assert any(d.corrected_from is not None for d in detections)
+
+
+def test_an_empty_variable_list_runs_every_variable(series, unshifted):
+    rules = RuleConfig(ranges={})
+    for key, named in unshifted.items():
+        kind, method = key
+        if kind not in (TransformKind.ONE_SIDED_DERIVATIVE, TransformKind.ORIGINAL):
+            continue
+        every = run_detection(series, PipelineConfig((), kind, ScoringConfig(method=method), rules=rules))
+        assert every.matrix.variables == series.variables, key
+        for name in ("tested_scores", "cutoffs", "spacing_scales"):
+            assert getattr(every.trace, name).tobytes() == getattr(named.trace, name).tobytes(), key
+        assert every.trace.decisions == named.trace.decisions, key
+        np.testing.assert_array_equal(every.predicted, named.predicted, err_msg=str(key))
+        assert _detections(every, 0) == _detections(named, 0), key
+    with pytest.raises(ConfigError, match=r"pipeline names variable\(s\) \['level'\] more than once"):
+        PipelineConfig(("level", "turbidity", "level"), TransformKind.ORIGINAL)
+
+
+# Scorers whose scores permute bit for bit with the rows of a tie-free cloud.
+# HDoutliers is left out: its single-pass Leader clustering depends on the row
+# order by design. Clouds with repeated rows are left out too: there a row's
+# neighbor list depends on which of its tied copies ranks first.
+EXACT_PERMUTERS = (Method.KNN_SUM, Method.KNN_AGG, Method.LOF, Method.COF, Method.LDOF, Method.RKOF)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(12, 80),
+    d=st.integers(1, 4),
+    k=st.integers(2, 10),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_row_permutation_permutes_every_score(seed, n, d, k):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))  # continuous: no two rows or distances tie
+    perm = rng.permutation(n)
+    cloud, permuted = PointCloud(pts), PointCloud(pts[perm])
+    for method in EXACT_PERMUTERS:
+        cfg = ScoringConfig(method=method, k=k)
+        base, moved = score(cloud, cfg).scores, score(permuted, cfg).scores
+        assert moved.tobytes() == base[perm].tobytes(), method
+        np.testing.assert_array_equal(evt_flag(moved)[0], evt_flag(base)[0][perm], err_msg=str(method))
+    # INFLO adds each influence space in member-index order, so its sums
+    # move in their last bits
+    cfg = ScoringConfig(method=Method.INFLO, k=k)
+    np.testing.assert_allclose(score(permuted, cfg).scores, score(cloud, cfg).scores[perm], rtol=1e-12)

@@ -239,6 +239,14 @@ class TestKnnAgg:
         np.testing.assert_allclose(sv.scores, [4 / 3, 1.0, 4 / 3, 25 / 3])
         assert sv.scores.argmax() == 3
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80), d=st.integers(1, 4), k=st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_reference(self, seed, n, d, k):
+        # the weighted distances are added in neighbor order, as the reference adds them
+        pts = np.random.default_rng(seed).random((n, d))
+        sv = score(PointCloud(pts), ScoringConfig(method=Method.KNN_AGG, k=k))
+        assert sv.scores.tobytes() == ref.ref_knn_agg(pts, k).tobytes()
+
     def test_k1_ranking_matches_knn_sum(self, rng):
         cloud = PointCloud(rng.random((40, 3)))
         agg = score(cloud, ScoringConfig(method=Method.KNN_AGG, k=1)).scores
